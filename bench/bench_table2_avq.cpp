@@ -1,5 +1,6 @@
-// Reproduces Table II: AVQ (mean queries per successful AE) of each attack
-// against the four offline detectors. Uses the cached Table-I runs.
+// Reproduces Table II: AVQ (mean index of the first benign query over
+// successful AEs) of each attack against the four offline detectors.
+// Re-aggregates Table I's per-sample result shards.
 #include "bench_common.hpp"
 
 int main() {

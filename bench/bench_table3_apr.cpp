@@ -1,5 +1,6 @@
 // Reproduces Table III: APR (%) -- mean file-size increase of successful
-// AEs -- for each attack against the offline detectors (cached runs).
+// AEs -- for each attack against the offline detectors. Re-aggregates
+// Table I's per-sample result shards.
 #include "bench_common.hpp"
 
 int main() {

@@ -44,7 +44,7 @@ int main() {
   detect::HardLabelOracle oracle(target, /*max_queries=*/100);
   const core::MpassResult result = attack.run(original, oracle, /*seed=*/7);
   std::printf("attack: success=%d queries=%zu APR=%.0f%%\n", result.success,
-              result.queries, 100.0 * result.apr);
+              oracle.queries(), 100.0 * result.apr);
 
   // 4. The AE must evade *and* behave identically.
   if (result.success) {

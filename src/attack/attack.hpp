@@ -13,7 +13,6 @@ namespace mpass::attack {
 struct AttackResult {
   bool success = false;
   util::ByteBuf adversarial;  // best-effort output even on failure
-  std::size_t queries = 0;
   double apr = 0.0;  // (|adv| - |orig|) / |orig|
 };
 
@@ -33,10 +32,8 @@ class Attack {
   /// Deep copy of this attack's current state (donor pools, learned
   /// policies, owned surrogate models). The harness gives every parallel
   /// (target, attack, sample) task its own clone, so per-sample runs are
-  /// independent of scheduling order. Returning nullptr marks the attack
-  /// non-clonable; such attacks run their samples sequentially on the
-  /// shared instance (order-dependent cross-sample state preserved).
-  virtual std::unique_ptr<Attack> clone() const { return nullptr; }
+  /// independent of scheduling order.
+  virtual std::unique_ptr<Attack> clone() const = 0;
 };
 
 /// Computes APR for a result.

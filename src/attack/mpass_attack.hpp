@@ -38,7 +38,6 @@ class MpassAttack : public Attack {
     AttackResult out;
     out.success = r.success;
     out.adversarial = r.adversarial;
-    out.queries = r.queries;
     out.apr = r.apr;
     return out;
   }

@@ -29,7 +29,6 @@ struct MpassConfig {
 struct MpassResult {
   bool success = false;
   util::ByteBuf adversarial;   // best-effort sample even on failure
-  std::size_t queries = 0;     // consumed from the oracle by this run
   double apr = 0.0;
 };
 
@@ -52,10 +51,6 @@ class Mpass {
   std::span<ml::ByteConvNet* const> known() const { return known_; }
 
  private:
-  static MpassResult& finish(MpassResult& result,
-                             const detect::HardLabelOracle& oracle,
-                             std::size_t start_queries);
-
   MpassConfig cfg_;
   std::vector<util::ByteBuf> pool_;
   std::vector<ml::ByteConvNet*> known_;

@@ -24,12 +24,10 @@ class Detector {
   /// malformed files (adversarial inputs are the norm).
   virtual double score(std::span<const std::uint8_t> bytes) const = 0;
 
-  /// Deep copy carrying the trained state *and* the threshold. Concurrent
-  /// attack tasks each query a private clone, so detectors whose score()
-  /// mutates internal forward caches never race. Returning nullptr marks
-  /// the detector non-clonable; the harness then falls back to running its
-  /// samples sequentially against the shared instance.
-  virtual std::unique_ptr<Detector> clone() const { return nullptr; }
+  /// Deep copy carrying the trained state *and* the threshold. The harness
+  /// gives every sample task its own clone, so detectors whose score()
+  /// mutates internal forward caches never race.
+  virtual std::unique_ptr<Detector> clone() const = 0;
 
   double threshold() const { return threshold_; }
   void set_threshold(double t) { threshold_ = t; }
@@ -44,14 +42,17 @@ class Detector {
 };
 
 /// Black-box query interface with a query budget/counter, shared by all
-/// attacks so AVQ is measured identically (paper §IV, "AVQ" metric).
+/// attacks so AVQ is measured identically (paper §IV, "AVQ" metric): the
+/// oracle is the only query counter, and a sample's AVQ input is the index
+/// of its first benign verdict.
 class HardLabelOracle {
  public:
   explicit HardLabelOracle(const Detector& detector,
                            std::size_t max_queries = 100)
       : detector_(detector), max_queries_(max_queries) {}
 
-  /// Hard-label query; increments the counter.
+  /// Hard-label query; increments the counter and records the index of the
+  /// first benign verdict.
   /// Returns true if the detector flags the sample as malicious.
   /// Inside an obs::TraceScope, each query emits a trace event carrying the
   /// verdict and the underlying score -- the score is observability only
@@ -61,6 +62,7 @@ class HardLabelOracle {
     ++queries_;
     const double s = detector_.score(bytes);
     const bool malicious = s >= detector_.threshold();
+    if (!malicious && first_benign_ == 0) first_benign_ = queries_;
     if (obs::tracing())
       obs::Event("query")
           .uint("i", queries_)
@@ -70,6 +72,8 @@ class HardLabelOracle {
   }
 
   std::size_t queries() const { return queries_; }
+  /// 1-based index of the first query answered benign; 0 if none was.
+  std::size_t first_benign() const { return first_benign_; }
   std::size_t max_queries() const { return max_queries_; }
   bool exhausted() const { return queries_ >= max_queries_; }
   std::string_view target_name() const { return detector_.name(); }
@@ -77,6 +81,7 @@ class HardLabelOracle {
  private:
   const Detector& detector_;
   std::size_t queries_ = 0;
+  std::size_t first_benign_ = 0;
   std::size_t max_queries_;
 };
 

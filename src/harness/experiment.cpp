@@ -13,7 +13,6 @@
 #include "attack/rla.hpp"
 #include "corpus/generator.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "util/hashing.hpp"
@@ -36,7 +35,7 @@ ExperimentConfig ExperimentConfig::from_env() {
 }
 
 std::uint64_t ExperimentConfig::digest() const {
-  std::uint64_t h = 9;  // bump to invalidate cached results
+  std::uint64_t h = 10;  // bump to invalidate cached results
   h = util::hash_combine(h, n_samples);
   h = util::hash_combine(h, max_queries);
   h = util::hash_combine(h, seed);
@@ -70,7 +69,10 @@ namespace {
 struct SampleOutcome {
   bool success = false;
   ByteBuf adversarial;            // kept only for successful AEs
-  std::uint64_t queries = 0;      // attack-reported (the paper's AVQ input)
+  // Oracle index of the first benign verdict (the paper's AVQ input); 0 on
+  // failure. Later queries (MAB's minimization, the rest of a GAMMA
+  // generation) count only in total_queries.
+  std::uint64_t first_benign = 0;
   std::uint64_t total_queries = 0;  // oracle counter incl. failed runs
   double apr = 0.0;
   bool functional = false;
@@ -107,7 +109,7 @@ void save_sample(const std::filesystem::path& path, const SampleOutcome& s) {
   ar.tag("sample");
   ar.u32(s.success ? 1 : 0);
   ar.bytes(s.adversarial);
-  ar.u64(s.queries);
+  ar.u64(s.first_benign);
   ar.u64(s.total_queries);
   ar.f64(s.apr);
   ar.u32(s.functional ? 1 : 0);
@@ -123,7 +125,7 @@ std::optional<SampleOutcome> load_sample(const std::filesystem::path& path) {
     ar.tag("sample");
     s.success = ar.u32() != 0;
     s.adversarial = ar.bytes();
-    s.queries = ar.u64();
+    s.first_benign = ar.u64();
     s.total_queries = ar.u64();
     s.apr = ar.f64();
     s.functional = ar.u32() != 0;
@@ -153,7 +155,7 @@ SampleOutcome attack_one(attack::Attack& atk, const detect::Detector& target,
   out.total_queries = oracle.queries();
   if (r.success) {
     out.success = true;
-    out.queries = r.queries;
+    out.first_benign = oracle.first_benign();
     out.apr = r.apr;
     // Paper §IV-A: verify AEs still show the original runtime behavior.
     if (sandbox.functionality_preserved(orig, r.adversarial)) {
@@ -206,45 +208,35 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
                                          : originals_for_sandbox[i];
   };
 
-  // Probe the clone contract once; prototypes are discarded.
-  const bool clonable = atk.clone() != nullptr && target.clone() != nullptr;
-
-  std::vector<SampleOutcome> outcomes(samples.size());
-  if (clonable) {
-    // One task per sample. Each task owns a cloned attack + cloned target
-    // (no shared forward caches) and consults the per-sample result cache
-    // first, so interrupted runs resume where they stopped.
-    const auto shard = sample_shard_dir(cfg, stats.attack, stats.target);
-    util::ThreadPool& tp = pool ? *pool : util::ThreadPool::instance();
-    std::vector<std::future<SampleOutcome>> futs;
-    futs.reserve(samples.size());
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      futs.push_back(tp.submit([&, i]() -> SampleOutcome {
-        const auto path = sample_path(shard, digests[i]);
-        if (cfg.use_cache)
-          if (auto hit = load_sample(path)) {
-            hit->from_cache = true;
-            return *hit;
-          }
-        const std::unique_ptr<attack::Attack> a = atk.clone();
-        const std::unique_ptr<detect::Detector> t = target.clone();
-        const vm::Sandbox sandbox;
-        SampleOutcome out = attack_one(*a, *t, sandbox, samples[i],
-                                       original_of(i), cfg, digests[i]);
-        if (cfg.use_cache) save_sample(path, out);
-        return out;
-      }));
-    }
-    // Collect in sample order (tasks complete in any order; the aggregate
-    // below is order-deterministic regardless).
-    for (std::size_t i = 0; i < futs.size(); ++i)
-      outcomes[i] = tp.wait(std::move(futs[i]));
-  } else {
-    const vm::Sandbox sandbox;
-    for (std::size_t i = 0; i < samples.size(); ++i)
-      outcomes[i] = attack_one(atk, target, sandbox, samples[i],
-                               original_of(i), cfg, digests[i]);
+  // One task per sample. Each task owns a cloned attack + cloned target
+  // (no shared forward caches) and consults the per-sample result cache
+  // first, so interrupted runs resume where they stopped.
+  const auto shard = sample_shard_dir(cfg, stats.attack, stats.target);
+  util::ThreadPool& tp = pool ? *pool : util::ThreadPool::instance();
+  std::vector<std::future<SampleOutcome>> futs;
+  futs.reserve(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    futs.push_back(tp.submit([&, i]() -> SampleOutcome {
+      const auto path = sample_path(shard, digests[i]);
+      if (cfg.use_cache)
+        if (auto hit = load_sample(path)) {
+          hit->from_cache = true;
+          return *hit;
+        }
+      const std::unique_ptr<attack::Attack> a = atk.clone();
+      const std::unique_ptr<detect::Detector> t = target.clone();
+      const vm::Sandbox sandbox;
+      SampleOutcome out = attack_one(*a, *t, sandbox, samples[i],
+                                     original_of(i), cfg, digests[i]);
+      if (cfg.use_cache) save_sample(path, out);
+      return out;
+    }));
   }
+  // Collect in sample order (tasks complete in any order; the aggregate
+  // below is order-deterministic regardless).
+  std::vector<SampleOutcome> outcomes(samples.size());
+  for (std::size_t i = 0; i < futs.size(); ++i)
+    outcomes[i] = tp.wait(std::move(futs[i]));
 
   double sum_q = 0.0, sum_apr = 0.0;
   std::size_t functional = 0, fresh = 0;
@@ -254,7 +246,7 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
     if (!out.from_cache) ++fresh;
     if (!out.success) continue;
     ++stats.successes;
-    sum_q += static_cast<double>(out.queries);
+    sum_q += static_cast<double>(out.first_benign);
     sum_apr += out.apr;
     if (out.functional) {
       ++functional;
@@ -280,8 +272,9 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
   if (!std::isfinite(stats.qps)) stats.qps = 0.0;
   if (obs::trace_dir()) {
     // Reconciliation anchor for tools/mpass_trace --check: when traced == n
-    // every sample left a fresh trace file and the sum of their end.queries
-    // must equal total_queries; cells with cache hits cannot reconcile.
+    // every sample left a fresh trace file, the sum of their end.queries
+    // must equal total_queries and their first benign query indices must
+    // average to avq; cells with cache hits cannot reconcile.
     obs::JsonLine line;
     line.str("ev", "cell")
         .str("attack", stats.attack)
@@ -289,10 +282,11 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
         .uint("n", stats.n)
         .uint("traced", fresh)
         .uint("total_queries", stats.total_queries)
+        .uint("successes", stats.successes)
+        .num("avq", stats.avq)
         .num("wall_ms", stats.wall_ms);
     obs::append_run_line("cells.jsonl", line.take());
   }
-  stats.metrics = obs::Registry::instance().snapshot().flat();
   return stats;
 }
 
@@ -347,89 +341,7 @@ std::unique_ptr<attack::Attack> make_attack(std::string_view name,
   throw std::invalid_argument("unknown attack: " + std::string(name));
 }
 
-// ---- cache ------------------------------------------------------------------
-
-namespace {
-
-std::filesystem::path cell_path(std::string_view key,
-                                const ExperimentConfig& cfg) {
-  char name[96];
-  std::snprintf(name, sizeof(name), "exp-%s-%016llx.bin",
-                std::string(key).c_str(),
-                static_cast<unsigned long long>(cfg.digest()));
-  return util::cache_dir() / "results" / name;
-}
-
-void save_cell(util::Archive& ar, const CellStats& c) {
-  ar.tag("cell");
-  ar.str(c.attack);
-  ar.str(c.target);
-  ar.u64(c.n);
-  ar.u64(c.successes);
-  ar.f64(c.asr);
-  ar.f64(c.avq);
-  ar.f64(c.apr);
-  ar.f64(c.functional);
-  ar.u32(static_cast<std::uint32_t>(c.aes.size()));
-  for (const ByteBuf& ae : c.aes) ar.bytes(ae);
-  ar.u64(c.total_queries);
-  ar.f64(c.wall_ms);
-  ar.f64(c.qps);
-  ar.u32(static_cast<std::uint32_t>(c.metrics.size()));
-  for (const auto& [name, value] : c.metrics) {
-    ar.str(name);
-    ar.f64(value);
-  }
-}
-
-CellStats load_cell(util::Unarchive& ar) {
-  CellStats c;
-  ar.tag("cell");
-  c.attack = ar.str();
-  c.target = ar.str();
-  c.n = ar.u64();
-  c.successes = ar.u64();
-  c.asr = ar.f64();
-  c.avq = ar.f64();
-  c.apr = ar.f64();
-  c.functional = ar.f64();
-  c.aes.assign(ar.u32(), {});
-  for (ByteBuf& ae : c.aes) ae = ar.bytes();
-  c.total_queries = ar.u64();
-  c.wall_ms = ar.f64();
-  c.qps = ar.f64();
-  c.metrics.resize(ar.u32());
-  for (auto& [name, value] : c.metrics) {
-    name = ar.str();
-    value = ar.f64();
-  }
-  return c;
-}
-
-}  // namespace
-
-void save_cells(std::string_view key, const ExperimentConfig& cfg,
-                const std::vector<CellStats>& cells) {
-  util::Archive ar;
-  ar.u32(static_cast<std::uint32_t>(cells.size()));
-  for (const CellStats& c : cells) save_cell(ar, c);
-  util::save_file(cell_path(key, cfg), ar.take());
-}
-
-std::optional<std::vector<CellStats>> load_cells(std::string_view key,
-                                                 const ExperimentConfig& cfg) {
-  if (!cfg.use_cache) return std::nullopt;
-  auto blob = util::load_file(cell_path(key, cfg));
-  if (!blob) return std::nullopt;
-  try {
-    util::Unarchive ar(*blob);
-    std::vector<CellStats> cells(ar.u32());
-    for (CellStats& c : cells) c = load_cell(ar);
-    return cells;
-  } catch (const util::ParseError&) {
-    return std::nullopt;
-  }
-}
+// ---- export -----------------------------------------------------------------
 
 void export_csv(const std::filesystem::path& path,
                 const std::vector<CellStats>& cells) {
@@ -453,7 +365,6 @@ std::vector<CellStats> run_grid(std::string_view key,
                                 std::span<detect::Detector* const> targets,
                                 bool gate_on_all_offline,
                                 const ExperimentConfig& cfg) {
-  if (auto cached = load_cells(key, cfg)) return *cached;
   detect::ModelZoo& zoo = detect::ModelZoo::instance();
 
   // Sample gate: paper requires initial detection by the target models.
@@ -498,7 +409,6 @@ std::vector<CellStats> run_grid(std::string_view key,
               std::string(key).c_str(), c.attack.c_str(), c.target.c_str(),
               c.asr, c.avq, c.apr, c.wall_ms, c.qps);
   }
-  save_cells(key, cfg, cells);
   obs::write_metrics_snapshot();
   return cells;
 }
@@ -549,25 +459,14 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
   // Fig. 4 extends the Fig. 3 run, adding the no-shuffle MPass ablation so
   // the shuffle strategy's role in surviving AV learning is visible.
   std::vector<CellStats> cells = av_grid(cfg);
-  {
-    const std::string_view key = "avs-noshuffle";
-    std::vector<CellStats> extra;
-    if (auto cached = load_cells(key, cfg)) {
-      extra = *cached;
-    } else {
-      std::vector<const detect::Detector*> gate;
-      std::vector<ByteBuf> samples;
-      for (const auto& av : zoo.avs()) {
-        auto atk = make_attack("MPass-noshuffle", zoo, av->name());
-        if (samples.empty()) {
-          gate.assign(1, av.get());
-          samples = make_attack_set(gate, cfg.n_samples, cfg.seed);
-        }
-        extra.push_back(run_cell(*atk, *av, samples, samples, cfg));
-      }
-      save_cells(key, cfg, extra);
+  std::vector<ByteBuf> samples;
+  for (const auto& av : zoo.avs()) {
+    auto atk = make_attack("MPass-noshuffle", zoo, av->name());
+    if (samples.empty()) {
+      const detect::Detector* gate[] = {av.get()};
+      samples = make_attack_set(gate, cfg.n_samples, cfg.seed);
     }
-    cells.insert(cells.end(), extra.begin(), extra.end());
+    cells.push_back(run_cell(*atk, *av, samples, samples, cfg));
   }
 
   LearningTimeline tl;

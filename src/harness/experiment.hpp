@@ -1,10 +1,12 @@
 // Experiment harness: runs attack x detector grids under the paper's
-// protocol and metrics, with on-disk caching so the per-table bench binaries
-// share one set of runs (Tables I-III all come from the same grid).
+// protocol and metrics, with a per-sample on-disk result cache so the
+// per-table bench binaries share one set of runs (Tables I-III all
+// aggregate the same grid's sample shards).
 //
 // Protocol (paper §IV "Datasets and baselines"): attack samples must be
 // (1) initially detected by the target models and (2) confirmed malicious in
-// the sandbox. Metrics: ASR, AVQ (mean queries per successful AE), APR
+// the sandbox. Metrics: ASR, AVQ (mean oracle index of the first benign
+// verdict over successful AEs), APR
 // (mean file-size increase of successful AEs), plus the sandbox
 // functionality-verification rate of §IV-A.
 #pragma once
@@ -36,7 +38,7 @@ struct CellStats {
   std::size_t n = 0;             // samples attacked
   std::size_t successes = 0;     // bypassing AEs
   double asr = 0.0;              // successes / n (percent)
-  double avq = 0.0;              // mean queries over successful AEs
+  double avq = 0.0;              // mean first-benign query index over successes
   double apr = 0.0;              // mean APR (percent) over successful AEs
   double functional = 0.0;       // % of successful AEs passing the sandbox
   std::vector<util::ByteBuf> aes;  // functional successful AEs (Fig. 4 input)
@@ -47,11 +49,6 @@ struct CellStats {
   // of its sample-task durations does (and cache hits count as ~0).
   double wall_ms = 0.0;
   double qps = 0.0;  // total_queries / (wall_ms seconds); 0 when unmeasured
-  // Flattened obs::Registry snapshot taken when the cell finished computing
-  // (counters, gauges, histogram .count/.sum). Informative only: excluded
-  // from result_digest(), and empty for cells loaded from the cell cache of
-  // an older run. `tools/mpass_trace diff` compares two of these.
-  std::vector<std::pair<std::string, double>> metrics;
 
   /// Digest of the deterministic result fields (everything except the
   /// timing counters). run_cell guarantees this is identical regardless of
@@ -67,17 +64,16 @@ std::vector<util::ByteBuf> make_attack_set(
 
 /// Runs one attack against one target over the sample set.
 ///
-/// When both the attack and the target are clonable, every sample becomes
-/// an independent task on the thread pool (`pool`, defaulting to
-/// ThreadPool::instance() sized by MPASS_THREADS): the task owns a cloned
-/// attack + cloned target and a deterministic RNG stream seeded from
-/// (cfg.seed, sample digest), so the aggregated CellStats (and its
-/// result_digest()) are identical for any thread count. Per-sample results
-/// are cached under (config digest, attack, target, sample digest), letting
-/// interrupted or partially invalidated runs resume instead of recomputing
-/// whole cells. Non-clonable attacks/targets (e.g. test doubles) run their
-/// samples sequentially on the shared instances, without the per-sample
-/// cache (cross-sample attack state makes cached entries order-dependent).
+/// Every sample becomes an independent task on the thread pool (`pool`,
+/// defaulting to ThreadPool::instance() sized by MPASS_THREADS): the task
+/// owns a clone of the attack and of the target and a deterministic RNG
+/// stream seeded from (cfg.seed, sample digest), so the aggregated
+/// CellStats (and its result_digest()) are identical for any thread count.
+/// With cfg.use_cache, per-sample results are the only result cache: they
+/// are sharded under (config digest, attack, target, sample digest), so
+/// interrupted runs resume and a grid re-aggregates from its shards without
+/// re-attacking. A sample's AVQ input is its oracle's first benign query
+/// index; the attack reports no query count of its own.
 CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
                    std::span<const util::ByteBuf> samples,
                    std::span<const util::ByteBuf> originals_for_sandbox,
@@ -92,7 +88,9 @@ std::unique_ptr<attack::Attack> make_attack(std::string_view name,
                                             detect::ModelZoo& zoo,
                                             std::string_view target_name);
 
-// ---- cached experiment entry points (one per paper artifact) -------------
+// ---- experiment entry points (one per paper artifact) --------------------
+// Each rebuilds its cells through run_cell, which serves every sample it
+// has already attacked under this config from the per-sample shards.
 
 /// Tables I-III: {MPass,RLA,MAB,GAMMA,MalRNN} x 4 offline models.
 std::vector<CellStats> offline_grid(const ExperimentConfig& cfg);
@@ -120,13 +118,6 @@ struct LearningTimeline {
   std::size_t rounds = 5;
 };
 LearningTimeline av_learning_timeline(const ExperimentConfig& cfg);
-
-// ---- result cache ----------------------------------------------------------
-
-void save_cells(std::string_view key, const ExperimentConfig& cfg,
-                const std::vector<CellStats>& cells);
-std::optional<std::vector<CellStats>> load_cells(std::string_view key,
-                                                 const ExperimentConfig& cfg);
 
 /// Writes a grid as CSV (attack,target,n,successes,asr,avq,apr,functional)
 /// for external plotting; AE payloads are not exported.

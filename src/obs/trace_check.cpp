@@ -1,6 +1,7 @@
 #include "obs/trace_check.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -221,12 +222,14 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
         }
         if (name == "cells.jsonl") {
           CellTraceData c;
-          double n = 0, traced = 0, tq = 0;
+          double n = 0, traced = 0, tq = 0, successes = 0;
           if (ev != "cell" || !want_str(*parsed, "attack", &c.attack) ||
               !want_str(*parsed, "target", &c.target) ||
               !want_num(*parsed, "n", &n) ||
               !want_num(*parsed, "traced", &traced) ||
               !want_num(*parsed, "total_queries", &tq) ||
+              !want_num(*parsed, "successes", &successes) ||
+              !want_num(*parsed, "avq", &c.avq) ||
               !want_num(*parsed, "wall_ms", &c.wall_ms)) {
             add_error(&rep.errors, name, line_no, "bad \"cell\" line");
             continue;
@@ -234,6 +237,7 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
           c.n = static_cast<std::uint64_t>(n);
           c.traced = static_cast<std::uint64_t>(traced);
           c.total_queries = static_cast<std::uint64_t>(tq);
+          c.successes = static_cast<std::uint64_t>(successes);
           rep.data.cells.push_back(std::move(c));
         } else {
           const Json* ranking = parsed->get("ranking");
@@ -274,13 +278,21 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
   std::map<std::pair<std::string, std::string>, const CellTraceData*> last;
   for (const CellTraceData& c : rep.data.cells)
     last[{c.attack, c.target}] = &c;
-  std::map<std::pair<std::string, std::string>,
-           std::pair<std::uint64_t, std::uint64_t>>
-      sums;  // (files, sum of end_queries)
+  struct Sums {
+    std::uint64_t files = 0, queries = 0;
+    std::uint64_t successes = 0, first_benign = 0;  // AVQ numerator/denominator
+  };
+  std::map<std::pair<std::string, std::string>, Sums> sums;
   for (const SampleTraceData& s : rep.data.samples) {
-    auto& [n_files, q] = sums[{s.attack, s.target}];
-    ++n_files;
-    q += s.end_queries;
+    Sums& sum = sums[{s.attack, s.target}];
+    ++sum.files;
+    sum.queries += s.end_queries;
+    if (!s.success) continue;
+    ++sum.successes;
+    const auto benign = std::find_if(
+        s.queries.begin(), s.queries.end(),
+        [](const SampleTraceData::Query& q) { return !q.malicious; });
+    if (benign != s.queries.end()) sum.first_benign += benign->i;
   }
   for (const auto& [key, cell] : last) {
     if (cell->traced != cell->n) {
@@ -290,20 +302,31 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
       continue;
     }
     const auto it = sums.find(key);
-    const std::uint64_t n_files = it == sums.end() ? 0 : it->second.first;
-    const std::uint64_t q = it == sums.end() ? 0 : it->second.second;
-    if (n_files != cell->n) {
-      rep.errors.push_back("cell " + key.first + " x " + key.second +
-                           ": traced=" + std::to_string(cell->traced) +
-                           " but " + std::to_string(n_files) +
-                           " sample trace files");
+    const Sums sum = it == sums.end() ? Sums{} : it->second;
+    const std::string cell_name = "cell " + key.first + " x " + key.second;
+    if (sum.files != cell->n) {
+      rep.errors.push_back(cell_name + ": traced=" +
+                           std::to_string(cell->traced) + " but " +
+                           std::to_string(sum.files) + " sample trace files");
       continue;
     }
-    if (q != cell->total_queries)
-      rep.errors.push_back(
-          "cell " + key.first + " x " + key.second + ": sample query sum " +
-          std::to_string(q) + " != cell total_queries " +
-          std::to_string(cell->total_queries));
+    if (sum.queries != cell->total_queries)
+      rep.errors.push_back(cell_name + ": sample query sum " +
+                           std::to_string(sum.queries) +
+                           " != cell total_queries " +
+                           std::to_string(cell->total_queries));
+    // avq is written with 6 significant digits; compare at that precision.
+    const double avq =
+        sum.successes ? static_cast<double>(sum.first_benign) /
+                            static_cast<double>(sum.successes)
+                      : 0.0;
+    if (sum.successes != cell->successes ||
+        std::fabs(avq - cell->avq) > 1e-5 * std::max(1.0, avq))
+      rep.errors.push_back(cell_name + ": traced AVQ " + std::to_string(avq) +
+                           " over " + std::to_string(sum.successes) +
+                           " successes != cell avq " +
+                           std::to_string(cell->avq) + " over " +
+                           std::to_string(cell->successes));
   }
 
   return rep;

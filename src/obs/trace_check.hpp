@@ -44,6 +44,8 @@ struct CellTraceData {
   std::uint64_t n = 0;
   std::uint64_t traced = 0;  // samples executed (not served from cache)
   std::uint64_t total_queries = 0;
+  std::uint64_t successes = 0;
+  double avq = 0.0;
   double wall_ms = 0.0;
 };
 
@@ -78,8 +80,10 @@ std::optional<SampleTraceData> parse_sample_trace(
 /// Loads and validates a whole trace directory: every *.jsonl line must
 /// satisfy the schema, and for every cell whose samples were all executed
 /// in this run (traced == n and all n files present), the sum of per-sample
-/// query counts must equal the cell's total_queries (the CellStats
-/// reconciliation of docs/OBSERVABILITY.md).
+/// query counts must equal the cell's total_queries, and the mean over
+/// successful samples of the index of their first `malicious:false` query
+/// must equal the cell's avq (the CellStats reconciliation of
+/// docs/OBSERVABILITY.md).
 TraceCheckReport check_trace_dir(const std::filesystem::path& dir);
 
 }  // namespace mpass::obs

@@ -65,7 +65,12 @@ TEST(Detectors, HardLabelOracleCountsQueries) {
   class Fixed : public Detector {
    public:
     std::string_view name() const override { return "fixed"; }
-    double score(std::span<const std::uint8_t>) const override { return 1.0; }
+    double score(std::span<const std::uint8_t> bytes) const override {
+      return bytes.empty() ? 0.0 : 1.0;
+    }
+    std::unique_ptr<Detector> clone() const override {
+      return std::make_unique<Fixed>(*this);
+    }
   };
   Fixed det;
   HardLabelOracle oracle(det, 3);
@@ -73,8 +78,11 @@ TEST(Detectors, HardLabelOracleCountsQueries) {
   EXPECT_TRUE(oracle.query(x));
   EXPECT_EQ(oracle.queries(), 1u);
   EXPECT_FALSE(oracle.exhausted());
-  oracle.query(x);
-  oracle.query(x);
+  EXPECT_EQ(oracle.first_benign(), 0u);  // no benign verdict yet
+  EXPECT_FALSE(oracle.query({}));
+  EXPECT_EQ(oracle.first_benign(), 2u);
+  oracle.query({});
+  EXPECT_EQ(oracle.first_benign(), 2u);  // only the first one is recorded
   EXPECT_TRUE(oracle.exhausted());
 }
 

@@ -1,6 +1,12 @@
 // Tests for the experiment harness: metric computation, sample gating,
-// result-cache round-trips.
+// cold/warm result-cache invariance.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <filesystem>
+#include <optional>
+#include <unistd.h>
 
 #include "harness/experiment.hpp"
 
@@ -16,48 +22,79 @@ class SizeDetector : public detect::Detector {
   double score(std::span<const std::uint8_t> bytes) const override {
     return bytes.size() < threshold_ ? 1.0 : 0.0;
   }
+  std::unique_ptr<detect::Detector> clone() const override {
+    return std::make_unique<SizeDetector>(*this);
+  }
  private:
   std::size_t threshold_;
 };
 
-/// Scripted attack: succeeds on every other sample using a fixed number of
-/// queries, never produces a functional check failure (AE = original).
+/// Files under this size are malicious to the Scripted cell's detector.
+constexpr std::size_t kBenignSize = 1 << 16;
+
+/// Scripted attack against SizeDetector(kBenignSize): queries the pristine
+/// sample (flagged), then -- on samples whose last byte is 1 -- pads it to
+/// kBenignSize (benign at query 2) and spends one more query, as MAB's
+/// minimization does, so AVQ (2) and total queries (3) differ. The
+/// outcome depends only on the sample bytes; `runs` is shared by clones.
 class Scripted : public attack::Attack {
  public:
   std::string_view name() const override { return "scripted"; }
   attack::AttackResult run(std::span<const std::uint8_t> malware,
                            detect::HardLabelOracle& oracle,
                            std::uint64_t) override {
+    ++*runs;
     attack::AttackResult r;
     r.adversarial.assign(malware.begin(), malware.end());
     oracle.query(r.adversarial);
-    oracle.query(r.adversarial);
-    r.queries = 2;
-    r.success = (++calls_ % 2) == 1;
+    if (malware.back() == 1) {
+      r.adversarial.resize(kBenignSize, 0);
+      r.success = !oracle.query(r.adversarial);
+      oracle.query(r.adversarial);
+    }
     r.apr = 0.5;
     return r;
   }
- private:
-  int calls_ = 0;
+  std::unique_ptr<attack::Attack> clone() const override {
+    return std::make_unique<Scripted>(*this);
+  }
+
+  std::shared_ptr<std::atomic<int>> runs =
+      std::make_shared<std::atomic<int>>(0);
 };
 
-TEST(Harness, RunCellComputesMetrics) {
-  const SizeDetector det(1);  // never flags anything; irrelevant here
-  Scripted atk;
+/// Six samples; every other one ends in byte 1 and is Scripted's win. The
+/// trailing byte lands in the overlay, so behavior is unchanged.
+std::vector<ByteBuf> scripted_samples() {
   std::vector<ByteBuf> samples;
-  for (int i = 0; i < 6; ++i)
+  for (int i = 0; i < 6; ++i) {
     samples.push_back(corpus::make_malware(8800 + i).bytes());
+    samples.back().push_back(i % 2 == 0 ? 1 : 0);
+    EXPECT_LT(samples.back().size(), kBenignSize);
+  }
+  return samples;
+}
+
+TEST(Harness, RunCellComputesMetrics) {
+  const SizeDetector det(kBenignSize);
+  Scripted atk;
+  const std::vector<ByteBuf> samples = scripted_samples();
   ExperimentConfig cfg;
   cfg.max_queries = 10;
+  cfg.use_cache = false;
   const CellStats stats = run_cell(atk, det, samples, samples, cfg);
   EXPECT_EQ(stats.n, 6u);
   EXPECT_EQ(stats.successes, 3u);
   EXPECT_DOUBLE_EQ(stats.asr, 50.0);
+  // The first benign verdict is query 2; the trailing query counts only
+  // in total_queries.
   EXPECT_DOUBLE_EQ(stats.avq, 2.0);
+  EXPECT_EQ(stats.total_queries, 3u * 3u + 3u * 1u);
   EXPECT_DOUBLE_EQ(stats.apr, 50.0);
-  // AE == original, so functionality is trivially preserved.
+  // Padding lands in the overlay, so functionality is preserved.
   EXPECT_DOUBLE_EQ(stats.functional, 100.0);
   EXPECT_EQ(stats.aes.size(), 3u);
+  EXPECT_EQ(*atk.runs, 6);
 }
 
 TEST(Harness, MakeAttackSetOnlyReturnsDetectedSamples) {
@@ -72,43 +109,63 @@ TEST(Harness, MakeAttackSetOnlyReturnsDetectedSamples) {
   EXPECT_TRUE(make_attack_set(gate2, 3, 77).empty());
 }
 
-TEST(Harness, CellCacheRoundTrip) {
-  ExperimentConfig cfg;
-  cfg.seed = 987654;  // private cache slot for this test
-  cfg.use_cache = true;
-  std::vector<CellStats> cells(2);
-  cells[0].attack = "A";
-  cells[0].target = "T";
-  cells[0].n = 10;
-  cells[0].successes = 7;
-  cells[0].asr = 70.0;
-  cells[0].avq = 3.5;
-  cells[0].apr = 120.0;
-  cells[0].functional = 100.0;
-  cells[0].aes = {ByteBuf{1, 2, 3}, ByteBuf{4, 5}};
-  cells[1].attack = "B";
-  cells[1].target = "T";
-  save_cells("unittest", cfg, cells);
-  const auto loaded = load_cells("unittest", cfg);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), 2u);
-  EXPECT_EQ((*loaded)[0].attack, "A");
-  EXPECT_EQ((*loaded)[0].successes, 7u);
-  EXPECT_DOUBLE_EQ((*loaded)[0].avq, 3.5);
-  EXPECT_EQ((*loaded)[0].aes[0], (ByteBuf{1, 2, 3}));
-  EXPECT_EQ((*loaded)[1].attack, "B");
+/// Points util::cache_dir() at a fresh private directory for one test.
+class PrivateCacheDir {
+ public:
+  PrivateCacheDir()
+      : dir_(std::filesystem::temp_directory_path() /
+             ("mpass_cache_warm_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(dir_);
+    if (const char* v = std::getenv("MPASS_CACHE_DIR")) prev_ = v;
+    ::setenv("MPASS_CACHE_DIR", dir_.c_str(), 1);
+  }
+  ~PrivateCacheDir() {
+    if (prev_) ::setenv("MPASS_CACHE_DIR", prev_->c_str(), 1);
+    else ::unsetenv("MPASS_CACHE_DIR");
+    std::filesystem::remove_all(dir_);
+  }
+  PrivateCacheDir(const PrivateCacheDir&) = delete;
+  PrivateCacheDir& operator=(const PrivateCacheDir&) = delete;
 
-  ExperimentConfig other = cfg;
-  other.seed = 123;  // digest changes -> cache miss
-  EXPECT_FALSE(load_cells("unittest", other).has_value());
+ private:
+  std::filesystem::path dir_;
+  std::optional<std::string> prev_;
+};
+
+TEST(Harness, CacheWarmRunEqualsColdRunWithoutAttacking) {
+  const PrivateCacheDir private_dir;
+  const SizeDetector det(kBenignSize);
+  Scripted atk;
+  const std::vector<ByteBuf> samples = scripted_samples();
+  ExperimentConfig cfg;
+  cfg.seed = 987654;
+  cfg.max_queries = 10;
+  const auto shards = util::cache_dir() / "results" / "samples";
+
+  cfg.use_cache = false;
+  const CellStats uncached = run_cell(atk, det, samples, samples, cfg);
+  EXPECT_FALSE(std::filesystem::exists(shards));
+  EXPECT_EQ(*atk.runs, 6);
+
+  cfg.use_cache = true;
+  const CellStats cold = run_cell(atk, det, samples, samples, cfg);
+  EXPECT_TRUE(std::filesystem::exists(shards));
+  EXPECT_EQ(*atk.runs, 12);
+  const CellStats warm = run_cell(atk, det, samples, samples, cfg);
+  EXPECT_EQ(*atk.runs, 12);  // every sample served from its shard
+
+  EXPECT_EQ(cold.result_digest(), uncached.result_digest());
+  EXPECT_EQ(warm.result_digest(), cold.result_digest());
+  EXPECT_EQ(warm.total_queries, cold.total_queries);
+  EXPECT_DOUBLE_EQ(warm.avq, 2.0);
 }
 
 TEST(Harness, CsvExportWritesAllCells) {
   std::vector<CellStats> cells(2);
   cells[0] = {"MPass", "MalConv", 10, 9, 90.0, 2.5, 110.0, 100.0, {}, 0,
-              0.0,     0.0,       {}};
+              0.0,     0.0};
   cells[1] = {"RLA", "MalConv", 10, 2, 20.0, 80.0, 400.0, 77.0, {}, 0,
-              0.0,   0.0,       {}};
+              0.0,   0.0};
   const auto path = util::cache_dir() / "results" / "unittest.csv";
   export_csv(path, cells);
   const auto data = util::load_file(path);

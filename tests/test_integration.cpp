@@ -127,5 +127,35 @@ TEST_F(MiniZoo, HarnessGridRunsEndToEnd) {
   }
 }
 
+TEST_F(MiniZoo, EveryCatalogueAttackReportsOracleAvq) {
+  // AVQ is the oracle's first benign query index, for every attack the
+  // factory builds -- not a count each attack keeps (or forgets) itself.
+  harness::ExperimentConfig cfg;
+  cfg.max_queries = 10;
+  cfg.use_cache = false;
+  detect::Detector& target = zoo().offline_by_name("MalConv");
+  const detect::Detector* gate[] = {&target};
+  const auto samples = harness::make_attack_set(gate, 3, 31);
+  ASSERT_FALSE(samples.empty());
+  std::size_t cells_with_successes = 0;
+  for (std::string_view name :
+       {"MPass", "RLA", "MAB", "GAMMA", "MalRNN", "UPX", "PESpin", "ASPack",
+        "Other-sec", "Random-data", "MPass-noshuffle"}) {
+    const auto atk = harness::make_attack(name, zoo(), target.name());
+    const harness::CellStats c =
+        harness::run_cell(*atk, target, samples, samples, cfg);
+    EXPECT_EQ(c.n, samples.size()) << name;
+    if (c.successes > 0) {
+      ++cells_with_successes;
+      EXPECT_GE(c.avq, 1.0) << name;
+      EXPECT_LE(c.avq, static_cast<double>(cfg.max_queries)) << name;
+    }
+    EXPECT_LE(c.avq * static_cast<double>(c.successes),
+              static_cast<double>(c.total_queries))
+        << name;
+  }
+  EXPECT_GT(cells_with_successes, 1u);  // not vacuous beyond MPass
+}
+
 }  // namespace
 }  // namespace mpass

@@ -225,6 +225,8 @@ TEST(Trace, CheckDirReconcilesQueryBudgets) {
                                      .uint("n", 2)
                                      .uint("traced", 2)
                                      .uint("total_queries", 12)
+                                     .uint("successes", 2)
+                                     .num("avq", 6.0)
                                      .num("wall_ms", 6.0)
                                      .take());
   write_metrics_snapshot();
@@ -245,10 +247,59 @@ TEST(Trace, CheckDirReconcilesQueryBudgets) {
                                      .uint("n", 2)
                                      .uint("traced", 2)
                                      .uint("total_queries", 99)
+                                     .uint("successes", 2)
+                                     .num("avq", 6.0)
                                      .num("wall_ms", 6.0)
                                      .take());
   const TraceCheckReport bad = check_trace_dir(guard.dir);
   EXPECT_FALSE(bad.ok());
+}
+
+TEST(Trace, CheckDirReconcilesAvq) {
+  TraceDirGuard guard("mpass_trace_checkavq");
+  // Sample 0x1 is benign at query 3, then spends two more queries (as MAB's
+  // minimization does); sample 0x2 is benign at query 5; 0x3 never is.
+  const auto emit = [](std::uint64_t digest, std::uint64_t queries,
+                       std::uint64_t first_benign) {
+    TraceScope scope("MAB", "MalConv", digest, 7, 100);
+    for (std::uint64_t i = 1; i <= queries; ++i)
+      Event("query").uint("i", i).boolean("malicious", i < first_benign).num(
+          "score", 0.5);
+    Event("end")
+        .boolean("success", first_benign > 0)
+        .uint("queries", queries)
+        .num("apr", 0.0)
+        .num("ms", 1.0)
+        .boolean("functional", true);
+  };
+  emit(0x1, 5, 3);
+  emit(0x2, 5, 5);
+  emit(0x3, 4, 0);
+  const auto cell = [](double avq) {
+    append_run_line("cells.jsonl", JsonLine()
+                                       .str("ev", "cell")
+                                       .str("attack", "MAB")
+                                       .str("target", "MalConv")
+                                       .uint("n", 3)
+                                       .uint("traced", 3)
+                                       .uint("total_queries", 14)
+                                       .uint("successes", 2)
+                                       .num("avq", avq)
+                                       .num("wall_ms", 3.0)
+                                       .take());
+  };
+  cell(4.0);  // (3 + 5) / 2
+  const TraceCheckReport ok = check_trace_dir(guard.dir);
+  EXPECT_TRUE(ok.ok()) << ok.errors.front();
+  ASSERT_EQ(ok.data.cells.size(), 1u);
+  EXPECT_EQ(ok.data.cells[0].successes, 2u);
+  EXPECT_DOUBLE_EQ(ok.data.cells[0].avq, 4.0);
+
+  // An avq of 0 and the mean over all queries, (5 + 5) / 2, must fail.
+  cell(0.0);
+  EXPECT_FALSE(check_trace_dir(guard.dir).ok());
+  cell(5.0);
+  EXPECT_FALSE(check_trace_dir(guard.dir).ok());
 }
 
 TEST(Trace, CacheHitCellsWarnInsteadOfFailing) {
@@ -263,6 +314,8 @@ TEST(Trace, CacheHitCellsWarnInsteadOfFailing) {
                                      .uint("n", 2)
                                      .uint("traced", 1)
                                      .uint("total_queries", 104)
+                                     .uint("successes", 1)
+                                     .num("avq", 4.0)
                                      .num("wall_ms", 2.0)
                                      .take());
   const TraceCheckReport rep = check_trace_dir(guard.dir);

@@ -1,6 +1,8 @@
 // Tests for the LZSS codec and the packer obfuscators.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "corpus/generator.hpp"
 #include "pack/packer.hpp"
 #include "pe/import.hpp"
@@ -44,17 +46,23 @@ TEST(Lzss, DecompressRejectsGarbage) {
 }
 
 // Property sweep: every packer preserves runtime behavior on every family.
+// ctest names each case by the raw bytes of its parameter, so the padding is
+// spelled out and zeroed: implicit padding would leak stack bytes into the
+// test names and make them differ from build to build.
 struct PackCase {
+  PackCase(pack::PackerKind k, std::uint64_t s) : kind(k), seed(s) {}
   pack::PackerKind kind;
+  std::uint32_t pad = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<PackCase>);
 
 class PackerPreserves : public ::testing::TestWithParam<PackCase> {};
 
 TEST_P(PackerPreserves, FunctionalityIntact) {
-  const auto [kind, seed] = GetParam();
-  const ByteBuf orig = corpus::make_malware(seed).bytes();
-  const auto packed = pack::pack(kind, orig);
+  const PackCase& c = GetParam();
+  const ByteBuf orig = corpus::make_malware(c.seed).bytes();
+  const auto packed = pack::pack(c.kind, orig);
   ASSERT_TRUE(packed.has_value());
   const vm::Sandbox sandbox;
   EXPECT_TRUE(sandbox.functionality_preserved(orig, *packed));
