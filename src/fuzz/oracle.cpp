@@ -284,8 +284,6 @@ std::optional<Violation> check_incremental_forward(
 
   ml::ByteConvNet inc(cfg, seed);
   ml::ByteConvNet ref(inc);  // identical parameters, independent caches
-  inc.set_incremental(true);
-  ref.set_incremental(false);
 
   const auto mismatch = [&](std::string_view where, float got, float want) {
     return Violation{
@@ -295,14 +293,21 @@ std::optional<Violation> check_incremental_forward(
             (cfg.channel_gating ? " [channel_gating]"
                                 : (cfg.gated ? " [gated]" : " [relu]"))};
   };
+  // The reference drops its cache before every score, so it always runs
+  // the full convolution; `inc` keeps its cache and diffs.
+  const auto full = [&ref](const ByteBuf& b) {
+    ref.invalidate_cache();
+    return ref.forward(b);
+  };
 
   ByteBuf buf(input.begin(), input.end());
   if (buf.empty()) {
     buf.resize(64);
     for (auto& x : buf) x = rng.byte();
   }
-  if (inc.forward_auto(buf) != ref.forward(buf))
-    return mismatch("base", inc.forward_auto(buf), ref.forward(buf));
+  float prev = full(buf);
+  if (const float got = inc.forward(buf); got != prev)
+    return mismatch("base", got, prev);
 
   // Cumulative random window edits; some straddle the max_len truncation
   // boundary or fall entirely past it (must be no-ops on the score).
@@ -311,39 +316,14 @@ std::optional<Violation> check_incremental_forward(
     const std::size_t len =
         std::min<std::size_t>(1 + rng.below(64), buf.size() - pos);
     for (std::size_t j = 0; j < len; ++j) buf[pos + j] = rng.byte();
-    const ml::ByteRange dirty{pos, pos + len};
-    const float d = inc.forward_delta(buf, {&dirty, 1});
-    const float f = ref.forward(buf);
-    if (d != f) return mismatch("forward_delta edit " + std::to_string(i), d, f);
-    const float a = inc.forward_auto(buf);
-    if (a != f) return mismatch("forward_auto edit " + std::to_string(i), a, f);
+    const float f = full(buf);
+    const std::string where = "edit " + std::to_string(i);
+    if (const float got = inc.forward(buf); got != f)
+      return mismatch(where, got, f);
+    if (pos >= cfg.max_len && f != prev)
+      return mismatch(where + " past max_len", f, prev);
+    prev = f;
   }
-
-  // Batched independent candidates against one cached baseline.
-  std::vector<ByteBuf> payloads(8);
-  std::vector<ml::ByteEdit> edits;
-  edits.reserve(payloads.size());
-  for (ByteBuf& p : payloads) {
-    p.resize(1 + rng.below(48));
-    for (auto& x : p) x = rng.byte();
-    edits.push_back({rng.below(buf.size()), p});
-  }
-  const std::vector<float> batched = inc.score_deltas(buf, edits);
-  for (std::size_t i = 0; i < edits.size(); ++i) {
-    ByteBuf variant = buf;
-    const std::size_t lo = std::min(edits[i].offset, variant.size());
-    const std::size_t hi =
-        std::min(edits[i].offset + edits[i].bytes.size(), variant.size());
-    std::copy(edits[i].bytes.begin(),
-              edits[i].bytes.begin() + static_cast<std::ptrdiff_t>(hi - lo),
-              variant.begin() + static_cast<std::ptrdiff_t>(lo));
-    const float f = ref.forward(variant);
-    if (batched[i] != f)
-      return mismatch("score_deltas[" + std::to_string(i) + "]", batched[i], f);
-  }
-  // score_deltas must leave the cache corresponding to the unedited base.
-  if (inc.forward_auto(buf) != ref.forward(buf))
-    return mismatch("post-batch base", inc.forward_auto(buf), ref.forward(buf));
 
   return std::nullopt;
 }

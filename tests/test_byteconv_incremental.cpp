@@ -1,13 +1,16 @@
-// Differential tests for ByteConvNet's incremental forward (ISSUE 5): every
-// delta entry point must agree with the full forward *bitwise* (EXPECT_EQ on
+// Differential tests for ByteConvNet's incremental forward: forward() on a
+// warm cache must agree with the full convolution *bitwise* (EXPECT_EQ on
 // floats, no tolerance) -- window-straddling edits, truncation-boundary
-// edits at max_len, empty deltas, cache invalidation on weight updates, and
-// the batched score_deltas candidate path.
+// edits at max_len, unchanged buffers served from the cache, whole-buffer
+// rewrites, cache invalidation on weight updates, and training traffic.
+// The reference is a net whose cache is dropped before every score.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "ml/byteconv.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace mpass::ml {
@@ -42,23 +45,23 @@ std::vector<ByteConvConfig> all_variants() {
   return out;
 }
 
-/// Applies `edit` at `pos` and checks forward_delta and forward_auto both
-/// match a full-forward reference net with identical parameters.
-void expect_delta_matches(ByteConvNet& inc, ByteConvNet& ref, const ByteBuf& buf,
-                          std::size_t lo, std::size_t hi) {
-  const ByteRange dirty{lo, hi};
-  const float d = inc.forward_delta(buf, {&dirty, 1});
-  const float f = ref.forward(buf);
-  EXPECT_EQ(d, f) << "forward_delta range [" << lo << "," << hi << ")";
-  EXPECT_EQ(inc.forward_auto(buf), f);
+/// The full convolution: `ref` forgets its cache before scoring.
+float full(ByteConvNet& ref, const ByteBuf& buf) {
+  ref.invalidate_cache();
+  return ref.forward(buf);
+}
+
+/// How many forwards so far took each path (ml.forward.{full,delta,cached}).
+std::uint64_t served(const std::string& path) {
+  const obs::Snapshot s = obs::Registry::instance().snapshot();
+  const auto it = s.counters.find("ml.forward." + path);
+  return it == s.counters.end() ? 0 : it->second;
 }
 
 TEST(ByteConvIncremental, RandomWindowEditsBitwiseEqualAllVariants) {
   for (const ByteConvConfig& cfg : all_variants()) {
     ByteConvNet inc(cfg, 11);
     ByteConvNet ref(inc);
-    inc.set_incremental(true);
-    ref.set_incremental(false);
 
     util::Rng rng(42);
     // Sizes around every boundary: empty, < width, == width, < max_len,
@@ -67,14 +70,15 @@ TEST(ByteConvIncremental, RandomWindowEditsBitwiseEqualAllVariants) {
          {std::size_t{0}, std::size_t{7}, std::size_t{16}, std::size_t{300},
           cfg.max_len, cfg.max_len + 512}) {
       ByteBuf buf = rng.bytes(size);
-      EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf)) << "size " << size;
+      EXPECT_EQ(inc.forward(buf), full(ref, buf)) << "size " << size;
       if (size == 0) continue;
       for (int i = 0; i < 20; ++i) {
         const std::size_t pos = rng.below(buf.size());
         const std::size_t len =
             std::min<std::size_t>(1 + rng.below(48), buf.size() - pos);
         for (std::size_t j = 0; j < len; ++j) buf[pos + j] = rng.byte();
-        expect_delta_matches(inc, ref, buf, pos, pos + len);
+        EXPECT_EQ(inc.forward(buf), full(ref, buf))
+            << "size " << size << " edit [" << pos << "," << pos + len << ")";
       }
     }
   }
@@ -84,11 +88,10 @@ TEST(ByteConvIncremental, WindowStraddlingAndTruncationBoundary) {
   const ByteConvConfig cfg = small_config();
   ByteConvNet inc(cfg, 3);
   ByteConvNet ref(inc);
-  ref.set_incremental(false);
   util::Rng rng(9);
   ByteBuf buf = rng.bytes(cfg.max_len + 256);
 
-  EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
+  EXPECT_EQ(inc.forward(buf), full(ref, buf));
   const std::size_t W = static_cast<std::size_t>(cfg.width);
   // Edits placed to straddle conv-window and stride boundaries, plus edits
   // straddling and entirely past the max_len truncation point.
@@ -101,9 +104,14 @@ TEST(ByteConvIncremental, WindowStraddlingAndTruncationBoundary) {
                                cfg.max_len,           // entirely truncated
                                cfg.max_len + 100};
   for (const std::size_t pos : spots) {
+    const float before = full(ref, buf);
     const std::size_t len = std::min<std::size_t>(W, buf.size() - pos);
     for (std::size_t j = 0; j < len; ++j) buf[pos + j] = rng.byte();
-    expect_delta_matches(inc, ref, buf, pos, pos + len);
+    const float f = full(ref, buf);
+    EXPECT_EQ(inc.forward(buf), f) << "edit at " << pos;
+    if (pos >= cfg.max_len) {
+      EXPECT_EQ(f, before) << "truncated edit at " << pos;
+    }
   }
 }
 
@@ -111,62 +119,65 @@ TEST(ByteConvIncremental, EmptyAndNoopDeltas) {
   const ByteConvConfig cfg = small_config();
   ByteConvNet inc(cfg, 5);
   ByteConvNet ref(inc);
-  ref.set_incremental(false);
   util::Rng rng(17);
   const ByteBuf buf = rng.bytes(700);
 
-  const float base = ref.forward(buf);
-  EXPECT_EQ(inc.forward_auto(buf), base);
-  // Empty dirty set.
-  EXPECT_EQ(inc.forward_delta(buf, {}), base);
-  // Empty range and a range declared dirty whose bytes did not change
-  // (unchanged-value writes must stay bitwise stable).
-  const ByteRange empty{40, 40};
-  EXPECT_EQ(inc.forward_delta(buf, {&empty, 1}), base);
-  const ByteRange noop{100, 180};
-  EXPECT_EQ(inc.forward_delta(buf, {&noop, 1}), base);
-  // Unchanged buffer through the auto path hits the cache.
-  EXPECT_EQ(inc.forward_auto(buf), base);
+  const float base = full(ref, buf);
+  EXPECT_EQ(inc.forward(buf), base);
+  // An unchanged buffer -- the same one again, or a copy holding the same
+  // bytes -- is served from the cache: no convolution at all.
+  const std::uint64_t full0 = served("full");
+  const std::uint64_t delta0 = served("delta");
+  const std::uint64_t cached0 = served("cached");
+  EXPECT_EQ(inc.forward(buf), base);
+  const ByteBuf copy = buf;
+  EXPECT_EQ(inc.forward(copy), base);
+  EXPECT_EQ(served("full"), full0);
+  EXPECT_EQ(served("delta"), delta0);
+  EXPECT_EQ(served("cached"), cached0 + 2);
 }
 
 TEST(ByteConvIncremental, WholeBufferDirtyFallsBackToFull) {
   const ByteConvConfig cfg = small_config();
   ByteConvNet inc(cfg, 5);
   ByteConvNet ref(inc);
-  ref.set_incremental(false);
   util::Rng rng(23);
   ByteBuf buf = rng.bytes(800);
-  EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
+  EXPECT_EQ(inc.forward(buf), full(ref, buf));
   for (auto& x : buf) x = rng.byte();
-  const ByteRange all{0, buf.size()};
-  EXPECT_EQ(inc.forward_delta(buf, {&all, 1}), ref.forward(buf));
+  const float f = full(ref, buf);
+  const std::uint64_t full0 = served("full");
+  const std::uint64_t delta0 = served("delta");
+  EXPECT_EQ(inc.forward(buf), f);
+  EXPECT_EQ(served("full"), full0 + 1);
+  EXPECT_EQ(served("delta"), delta0);
 }
 
 TEST(ByteConvIncremental, CumulativeChainedDeltas) {
   const ByteConvConfig cfg = small_config();
   ByteConvNet inc(cfg, 29);
   ByteConvNet ref(inc);
-  ref.set_incremental(false);
   util::Rng rng(31);
   ByteBuf buf = rng.bytes(900);
-  EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
+  EXPECT_EQ(inc.forward(buf), full(ref, buf));
   // Long chains of deltas must not drift: each step reconvolves only its
   // own windows yet the state stays bitwise equal to from-scratch forwards.
+  const std::uint64_t delta0 = served("delta");
   for (int i = 0; i < 200; ++i) {
     const std::size_t pos = rng.below(buf.size());
     buf[pos] = rng.byte();
-    expect_delta_matches(inc, ref, buf, pos, pos + 1);
+    EXPECT_EQ(inc.forward(buf), full(ref, buf)) << "edit " << i;
   }
+  EXPECT_GT(served("delta"), delta0);
 }
 
 TEST(ByteConvIncremental, ParamUpdateInvalidatesCache) {
   const ByteConvConfig cfg = small_config();
   ByteConvNet inc(cfg, 37);
   ByteConvNet ref(inc);
-  ref.set_incremental(false);
   util::Rng rng(41);
   const ByteBuf buf = rng.bytes(600);
-  EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
+  EXPECT_EQ(inc.forward(buf), full(ref, buf));
 
   // An Adam step moves the weights of both nets identically; the cached
   // activations are stale and must not be served.
@@ -179,60 +190,50 @@ TEST(ByteConvIncremental, ParamUpdateInvalidatesCache) {
   };
   train_step(inc);
   train_step(ref);
-  EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf))
+  EXPECT_EQ(inc.forward(buf), full(ref, buf))
       << "stale cache served after a weight update";
 }
 
-TEST(ByteConvIncremental, ScoreDeltasMatchesIndependentFullForwards) {
+TEST(ByteConvIncremental, TrainingTrafficMatchesColdForward) {
+  // Training scores a shuffled stream of distinct samples and updates the
+  // weights every few of them. Same-length samples that share a header
+  // take the delta path between updates; scores and input gradients must
+  // equal a cold copy's full forward at every call.
   for (const ByteConvConfig& cfg : all_variants()) {
-    ByteConvNet inc(cfg, 43);
-    ByteConvNet ref(inc);
-    ref.set_incremental(false);
-    util::Rng rng(47);
-    const ByteBuf base = rng.bytes(cfg.max_len);
-    const float base_score = ref.forward(base);
-
-    std::vector<ByteBuf> payloads(12);
-    std::vector<ByteEdit> edits;
-    for (ByteBuf& p : payloads) {
-      p = rng.bytes(1 + rng.below(64));
-      edits.push_back({rng.below(base.size()), p});
+    ByteConvNet net(cfg, 67);
+    Adam opt(net.params(), 1e-2f);
+    util::Rng rng(71);
+    const ByteBuf header = rng.bytes(600);
+    std::vector<ByteBuf> samples;
+    for (int i = 0; i < 12; ++i) {
+      ByteBuf s = header;
+      const ByteBuf tail = rng.bytes(200);
+      s.insert(s.end(), tail.begin(), tail.end());
+      samples.push_back(std::move(s));
     }
-    // Out-of-range edit: clamped to a no-op tail write.
-    payloads.push_back(rng.bytes(32));
-    edits.push_back({base.size() - 8, payloads.back()});
 
-    const std::vector<float> got = inc.score_deltas(base, edits);
-    ASSERT_EQ(got.size(), edits.size());
-    for (std::size_t i = 0; i < edits.size(); ++i) {
-      ByteBuf variant = base;
-      const std::size_t lo = std::min(edits[i].offset, variant.size());
-      const std::size_t hi =
-          std::min(edits[i].offset + edits[i].bytes.size(), variant.size());
-      for (std::size_t j = lo; j < hi; ++j)
-        variant[j] = edits[i].bytes[j - lo];
-      EXPECT_EQ(got[i], ref.forward(variant)) << "edit " << i;
+    const std::uint64_t delta0 = served("delta");
+    int calls = 0;
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      rng.shuffle(samples);
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        const float target = static_cast<float>(i % 2);
+        ByteConvNet cold(net);
+        const float p = net.forward(samples[i]);
+        EXPECT_EQ(p, cold.forward(samples[i]))
+            << "epoch " << epoch << " sample " << i;
+        std::vector<float> g, g_cold;
+        net.backward(target, &g, /*accumulate_params=*/false);
+        cold.backward(target, &g_cold, /*accumulate_params=*/false);
+        EXPECT_EQ(g, g_cold) << "epoch " << epoch << " sample " << i;
+        net.backward(target);
+        if (++calls % 3 == 0) {
+          opt.step();
+          net.clamp_nonneg();
+        }
+      }
     }
-    // The cache must be rolled back to the unedited base afterwards.
-    EXPECT_EQ(inc.forward_auto(base), base_score);
-  }
-}
-
-TEST(ByteConvIncremental, DisabledIncrementalAlwaysRunsFull) {
-  const ByteConvConfig cfg = small_config();
-  ByteConvNet a(cfg, 53);
-  ByteConvNet b(a);
-  a.set_incremental(false);
-  b.set_incremental(true);
-  EXPECT_FALSE(a.incremental());
-  EXPECT_TRUE(b.incremental());
-  util::Rng rng(59);
-  ByteBuf buf = rng.bytes(512);
-  for (int i = 0; i < 8; ++i) {
-    buf[rng.below(buf.size())] = rng.byte();
-    EXPECT_EQ(a.forward_auto(buf), b.forward_auto(buf));
-    const ByteRange whole{0, buf.size()};
-    EXPECT_EQ(a.forward_delta(buf, {&whole, 1}), b.forward(buf));
+    EXPECT_GT(served("delta"), delta0);
   }
 }
 

@@ -41,12 +41,17 @@ void gradient_check(const ByteConvConfig& cfg, float target) {
     if (p->size() == 0) continue;
     // Probe a handful of coordinates per tensor.
     for (std::size_t j = 0; j < p->size(); j += std::max<std::size_t>(1, p->size() / 5)) {
+      // Poking weights directly must bump the version, or forward()
+      // serves the cached activations of the unperturbed net.
       const float orig = p->w[j];
       p->w[j] = orig + eps;
+      net.params().bump_version();
       const float up = bce_loss(net.forward(input), target);
       p->w[j] = orig - eps;
+      net.params().bump_version();
       const float down = bce_loss(net.forward(input), target);
       p->w[j] = orig;
+      net.params().bump_version();
       const float numeric = (up - down) / (2 * eps);
       const float analytic = p->g[j];
       // Max-pool argmax switches make gradients piecewise; allow tolerance.
@@ -102,10 +107,13 @@ TEST(ByteConv, InputGradientMatchesNumeric) {
   for (int k = 0; k < cfg.embed_dim; ++k) {
     const float orig = emb->w[base + k];
     emb->w[base + k] = orig + eps;
+    net.params().bump_version();
     const float up = bce_loss(net.forward(unique), 0.0f);
     emb->w[base + k] = orig - eps;
+    net.params().bump_version();
     const float down = bce_loss(net.forward(unique), 0.0f);
     emb->w[base + k] = orig;
+    net.params().bump_version();
     const float numeric = (up - down) / (2 * eps);
     EXPECT_NEAR(grad[t * cfg.embed_dim + k], numeric,
                 5e-2f + 0.05f * std::abs(numeric));
