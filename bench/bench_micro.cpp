@@ -1,9 +1,11 @@
 // Component micro-benchmarks (google-benchmark): PE parse/build, feature
-// extraction, detector inference, emulator throughput, LZSS, Shapley.
+// extraction, detector inference, the optimizer step, emulator throughput,
+// LZSS, Shapley.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
 
+#include "core/optimizer.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/features.hpp"
 #include "detectors/models.hpp"
@@ -91,6 +93,29 @@ void BM_MalConvQueryFull(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MalConvQueryFull);
+
+// One EnsembleOptimizer::step() at MalConv scale against untrained nets
+// shaped like the zoo's three offline byte models: each net's forward +
+// input-gradient backward, the 256-candidate token search over the
+// perturbable positions, and the line search's delta re-scores. Every
+// iteration restarts from the same modified sample.
+void BM_OptTokenSearch(benchmark::State& state) {
+  ml::ByteConvNet malconv(detect::malconv_config(), 11);
+  ml::ByteConvNet nonneg(detect::nonneg_config(), 12);
+  ml::ByteConvNet malgcg(detect::malgcg_config(), 13);
+  const core::EnsembleOptimizer opt({&malconv, &nonneg, &malgcg});
+  util::Rng rng(5);
+  const core::ModifiedSample start = core::apply_modification(
+      sample_malware(), corpus::make_benign(0xD0).bytes(),
+      core::ModificationConfig{}, rng);
+  for (auto _ : state) {
+    state.PauseTiming();
+    core::ModifiedSample mod = start;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(opt.step(mod));
+  }
+}
+BENCHMARK(BM_OptTokenSearch)->Unit(benchmark::kMillisecond);
 
 void BM_VmExecute(benchmark::State& state) {
   const auto& bytes = sample_malware();

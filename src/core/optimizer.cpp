@@ -1,6 +1,7 @@
 #include "core/optimizer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -93,8 +94,35 @@ float EnsembleOptimizer::step(ModifiedSample& sample) const {
     std::uint8_t old_value;
     float gain;  // predicted first-order loss decrease
   };
+  // Each net's embedding table transposed to d x 256 (row k holds
+  // component k of every byte value's embedding): a position's 256
+  // candidate dot products then run as 256 independent lanes, each summing
+  // g[k] * E[v][k] from 0.0f over ascending k -- the float operations of
+  // the per-candidate scalar dot product, in the same order.
+  std::vector<std::vector<float>> emb_t(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const int d = known_[i]->config().embed_dim;
+    emb_t[i].resize(static_cast<std::size_t>(d) * 256);
+    for (int v = 0; v < 256; ++v) {
+      const auto e = known_[i]->embedding_row(v);
+      for (int k = 0; k < d; ++k)
+        emb_t[i][static_cast<std::size_t>(k) * 256 + v] = e[k];
+    }
+  }
+  // dot_all(g, E_i^T, d) leaves dots[v] = <g, E_i[v]> for every byte v.
+  std::array<float, 256> dots;
+  const auto dot_all = [&dots](const float* g, const std::vector<float>& et,
+                               int d) {
+    dots.fill(0.0f);
+    for (int k = 0; k < d; ++k) {
+      const float gk = g[k];
+      const float* row = et.data() + static_cast<std::size_t>(k) * 256;
+      for (int v = 0; v < 256; ++v) dots[v] += gk * row[v];
+    }
+  };
+
   std::vector<Update> updates;
-  std::vector<float> cand(256);
+  std::array<float, 256> cand;
   for (const auto& [mag, p] : by_magnitude) {
     const auto key_it = sample.key_of.find(p);
     const bool has_key = key_it != sample.key_of.end();
@@ -108,29 +136,20 @@ float EnsembleOptimizer::step(ModifiedSample& sample) const {
     const std::uint8_t cur = sample.bytes[p];
     const std::uint8_t cur_key = has_key ? sample.bytes[kpos] : 0;
 
-    std::fill(cand.begin(), cand.end(), 0.0f);
+    cand.fill(0.0f);
     for (std::size_t i = 0; i < m; ++i) {
       const int d = known_[i]->config().embed_dim;
       if (p < consumed[i]) {
-        const float* g = grads[i].data() + static_cast<std::size_t>(p) * d;
-        for (int v = 0; v < 256; ++v) {
-          const auto e = known_[i]->embedding_row(v);
-          float s = 0.0f;
-          for (int k = 0; k < d; ++k) s += g[k] * e[k];
-          cand[static_cast<std::size_t>(v)] += s;
-        }
+        dot_all(grads[i].data() + static_cast<std::size_t>(p) * d, emb_t[i], d);
+        for (int v = 0; v < 256; ++v) cand[v] += dots[v];
       }
       if (has_key && kpos < consumed[i]) {
-        const float* g = grads[i].data() + static_cast<std::size_t>(kpos) * d;
-        for (int v = 0; v < 256; ++v) {
-          // Choosing byte v at p forces key value cur_key + (v - cur).
-          const std::uint8_t kv = static_cast<std::uint8_t>(
-              cur_key + static_cast<std::uint8_t>(v - cur));
-          const auto e = known_[i]->embedding_row(kv);
-          float s = 0.0f;
-          for (int k = 0; k < d; ++k) s += g[k] * e[k];
-          cand[static_cast<std::size_t>(v)] += s;
-        }
+        dot_all(grads[i].data() + static_cast<std::size_t>(kpos) * d,
+                emb_t[i], d);
+        // Choosing byte v at p forces key value cur_key + (v - cur).
+        for (int v = 0; v < 256; ++v)
+          cand[v] += dots[static_cast<std::uint8_t>(
+              cur_key + static_cast<std::uint8_t>(v - cur))];
       }
     }
 

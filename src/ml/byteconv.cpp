@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -15,6 +16,52 @@ constexpr int kPad = 256;
 
 inline float sigmoidf(float x) {
   return 1.0f / (1.0f + std::exp(-x));
+}
+
+// Four float lanes (GCC/Clang vector extension). Loads and stores go
+// through memcpy, so no access assumes alignment.
+typedef float v4f __attribute__((vector_size(16)));
+
+inline v4f load4(const float* p) {
+  v4f v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store4(float* p, v4f v) { std::memcpy(p, &v, sizeof v); }
+
+// out[j] = bias[j] + w[0*stride + j]*x[0] + w[1*stride + j]*x[1] + ...,
+// for the 4*V lanes j of one block, summed in ascending i: each lane does
+// exactly the float operations of the scalar per-filter reduction.
+template <int V>
+void conv_block(const float* w, std::size_t stride, const float* x,
+                int window, const float* bias, float* out) {
+  v4f acc[V];
+  for (int v = 0; v < V; ++v) acc[v] = load4(bias + 4 * v);
+  for (int i = 0; i < window; ++i) {
+    const float* wi = w + static_cast<std::size_t>(i) * stride;
+    const v4f xi = {x[i], x[i], x[i], x[i]};
+    for (int v = 0; v < V; ++v) acc[v] += load4(wi + 4 * v) * xi;
+  }
+  for (int v = 0; v < V; ++v) store4(out + 4 * v, acc[v]);
+}
+
+// The n filters of one conv over one window, weights window-major (lane j
+// of row i at w[i*stride + j]): 4x4-lane blocks, then 4-lane blocks, then
+// a scalar tail for n % 4.
+void conv_lanes(const float* w, std::size_t stride, const float* x,
+                int window, const float* bias, float* out, int n) {
+  int j = 0;
+  for (; j + 16 <= n; j += 16)
+    conv_block<4>(w + j, stride, x, window, bias + j, out + j);
+  for (; j + 4 <= n; j += 4)
+    conv_block<1>(w + j, stride, x, window, bias + j, out + j);
+  for (; j < n; ++j) {
+    float s = bias[j];
+    for (int i = 0; i < window; ++i)
+      s += w[static_cast<std::size_t>(i) * stride + j] * x[i];
+    out[j] = s;
+  }
 }
 }  // namespace
 
@@ -82,25 +129,30 @@ std::size_t ByteConvNet::time_steps(std::size_t n_tokens) const {
   return (n_tokens - cfg_.width) / cfg_.stride + 1;
 }
 
+void ByteConvNet::pack_conv_weights() {
+  const std::size_t F = static_cast<std::size_t>(cfg_.filters);
+  const std::size_t window =
+      static_cast<std::size_t>(cfg_.width) * cfg_.embed_dim;
+  packed_.resize(window * 2 * F);
+  for (std::size_t i = 0; i < window; ++i) {
+    float* row = packed_.data() + i * 2 * F;
+    for (std::size_t f = 0; f < F; ++f) {
+      row[f] = wa_->w[f * window + i];
+      row[F + f] = wb_->w[f * window + i];
+    }
+  }
+  packed_version_ = params_.version();
+}
+
 void ByteConvNet::conv_row(std::size_t p) {
-  const int d = cfg_.embed_dim;
   const int F = cfg_.filters;
-  const int window = cfg_.width * d;
-  const float* win = x_.data() + p * cfg_.stride * d;
+  const int window = cfg_.width * cfg_.embed_dim;
+  const float* win = x_.data() + p * cfg_.stride * cfg_.embed_dim;
+  const std::size_t lanes = 2 * static_cast<std::size_t>(F);
   float* ap = a_.data() + p * F;
   float* bp = b_.data() + p * F;
-  for (int f = 0; f < F; ++f) {
-    const float* wra = wa_->w.data() + static_cast<std::size_t>(f) * window;
-    const float* wrb = wb_->w.data() + static_cast<std::size_t>(f) * window;
-    float sa = ba_->w[f];
-    float sb = bb_->w[f];
-    for (int i = 0; i < window; ++i) {
-      sa += wra[i] * win[i];
-      sb += wrb[i] * win[i];
-    }
-    ap[f] = sa;
-    bp[f] = sb;
-  }
+  conv_lanes(packed_.data(), lanes, win, window, ba_->w.data(), ap, F);
+  conv_lanes(packed_.data() + F, lanes, win, window, bb_->w.data(), bp, F);
   float* hp = h_.data() + p * F;
   for (int f = 0; f < F; ++f)
     hp[f] = cfg_.gated ? ap[f] * sigmoidf(bp[f]) : std::max(0.0f, ap[f]);
@@ -181,7 +233,11 @@ float ByteConvNet::full_forward(std::span<const std::uint8_t> bytes) {
     std::copy_n(row, d, x_.data() + t * d);
   }
 
-  // Convolutions + gating.
+  // Convolutions + gating. Every cache miss passes here first (forward()
+  // sends a changed ParamSet version to the full path), so this is the
+  // one place the packed weights can be stale.
+  if (packed_.empty() || packed_version_ != params_.version())
+    pack_conv_weights();
   const std::size_t T = time_steps(n_tok);
   a_.assign(T * F, 0.0f);
   b_.assign(T * F, 0.0f);

@@ -48,16 +48,20 @@ class ByteConvNet {
   /// Every optimization step, training pass and hard-label query scores a
   /// buffer that differs from the previously scored one in a handful of
   /// byte windows (or not at all). forward() therefore diffs `bytes`
-  /// against the cached tokens (an O(L) integer scan, hundreds of times
-  /// cheaper than the conv) and serves the score one of three ways: straight from the
-  /// cache when nothing changed, by re-convolving only the timesteps whose
-  /// stride-S windows overlap a changed byte and repairing the global max
-  /// pool, or by the full convolution when the cache is missing or stale,
-  /// the consumed length changed, or the changes cover most timesteps.
+  /// against the cached tokens (an O(L) integer scan, roughly 100x cheaper
+  /// than the full conv at MalConv scale: 8-11 us vs 0.9-1.4 ms,
+  /// BM_MalConvForward vs BM_MalConvQueryFull) and serves the score one of
+  /// three ways: straight from the cache when nothing changed, by
+  /// re-convolving only the timesteps whose stride-S windows overlap a
+  /// changed byte and repairing the global max pool, or by the full
+  /// convolution when the cache is missing or stale, the consumed length
+  /// changed, or the changes cover most timesteps.
   /// All three are *exactly* equivalent: same float operations in the same
   /// order on every recomputed value, so scores (and the activation cache,
   /// hence backward) are bit-for-bit identical -- enforced by
-  /// tests/test_byteconv_incremental.cpp and the fuzz oracle.
+  /// tests/test_byteconv_incremental.cpp and the fuzz oracle (and the conv
+  /// kernel against its scalar reference by
+  /// tests/test_byteconv_reference.cpp).
   ///
   /// The cache is keyed on the ParamSet version: any weight update (Adam,
   /// load, clamp_nonneg, bump_version) invalidates it.
@@ -108,8 +112,13 @@ class ByteConvNet {
 
   std::size_t time_steps(std::size_t n_tokens) const;
   /// Conv + gating for one timestep (writes a_/b_/h_ rows). Shared by the
-  /// full and delta paths so recomputed rows are bitwise identical.
+  /// full and delta paths so recomputed rows are bitwise identical. All F
+  /// filters of both convs accumulate at once over packed_, one lane per
+  /// filter, each lane summing in the order of the per-filter scalar loop
+  /// (bias first, then w[i]*win[i] for ascending i).
   void conv_row(std::size_t p);
+  /// Rebuilds packed_ from wa_/wb_ for the current ParamSet version.
+  void pack_conv_weights();
   /// Channel gating + global max pool + dense head, full recompute from
   /// h_ (identical code for both paths).
   void pool_and_head();
@@ -138,6 +147,13 @@ class ByteConvNet {
   Param* b1_;    // H
   Param* w2_;    // 1 x H
   Param* b2_;    // 1
+
+  // wa_/wb_ window-major: row i (i < W*d) is [wa[0..F)[i] | wb[0..F)[i]],
+  // so conv_row reads one contiguous 2F-float row per window element.
+  // Repacked by full_forward when the ParamSet version moves; apply_delta
+  // only runs on a cache of the current version, hence a current pack.
+  std::vector<float> packed_;
+  std::uint64_t packed_version_ = 0;
 
   // Forward caches.
   std::vector<int> tokens_;

@@ -2,6 +2,7 @@
 // engine (positions I / key map J), and the ensemble optimizer invariants.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <type_traits>
 
 #include "core/mpass.hpp"
@@ -289,6 +290,36 @@ TEST_F(TinyNetFixture, OptimizerIncrementalMatchesFullRecompute) {
         << "step " << i;
   }
   EXPECT_NE(util::fnv1a64(mod.bytes), before) << "no step changed a byte";
+}
+
+TEST_F(TinyNetFixture, OptimizerStepsMatchGoldenPin) {
+  // Golden pin for the token search and the conv kernels: the bytes after
+  // a fixed run of steps and the bit patterns of every returned loss. Any
+  // reordering of a candidate's dot product or of the per-net sums into it
+  // (or of a conv filter's reduction) that moves a chosen byte moves these
+  // values. The second known net is untrained and reads the whole file, so
+  // the key-coupled term (keys sit past the tiny net's window) contributes
+  // too. Recorded with the scalar per-candidate loops on x86-64 Linux
+  // (glibc libm).
+  ml::ByteConvConfig wide = tiny();
+  wide.max_len = 1 << 16;
+  wide.embed_dim = 8;
+  ml::ByteConvNet wide_net(wide, 91);
+  const ByteBuf orig = corpus::make_malware(885).bytes();
+  util::Rng rng(73);
+  ModifiedSample mod =
+      apply_modification(orig, donor_bytes(), ModificationConfig{}, rng);
+  ASSERT_LT(mod.bytes.size(), wide.max_len);
+  EnsembleOptimizer opt({&det_->net(), &wide_net});
+  std::vector<std::uint32_t> loss_bits;
+  for (int i = 0; i < 8; ++i)
+    loss_bits.push_back(std::bit_cast<std::uint32_t>(opt.step(mod)));
+  EXPECT_EQ(util::fnv1a64(mod.bytes), 0xf0c27d5cb87c68b7ULL);
+  // 0.46960449, 0.36639142, 0.34454206, 0.34153903,
+  // 0.33794692, 0.32853085, 0.32463992, 0.32401747
+  EXPECT_EQ(loss_bits, (std::vector<std::uint32_t>{
+                           0x3ef07000, 0x3ebb97a8, 0x3eb067d1, 0x3eaede34,
+                           0x3ead0761, 0x3ea83532, 0x3ea63734, 0x3ea5e59e}));
 }
 
 TEST_F(TinyNetFixture, OptimizerPreservesFunctionality) {
