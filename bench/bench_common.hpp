@@ -2,7 +2,6 @@
 // machine-readable BENCH_<name>.json report every bench emits (BenchReport).
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -14,7 +13,7 @@
 
 #include "harness/experiment.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/span.hpp"
 #include "util/table.hpp"
 #include "util/threadpool.hpp"
@@ -84,30 +83,15 @@ inline void print_cell_timings(const std::vector<harness::CellStats>& cells) {
                   c.target.c_str(), c.wall_ms, c.qps);
 }
 
-/// Prints the top scoped-timer histograms ("time.*") from the metrics
-/// registry, ranked by total time spent. Shows where the run's compute went
-/// (all near-zero when the grid was served from the result cache).
+/// Prints the span paths with the most self time in this process: where
+/// the run's compute went (near-zero when the grid was served from the
+/// result cache).
 inline void print_top_timers(std::size_t top_n = 8) {
-  const obs::Snapshot snap = obs::Registry::instance().snapshot();
-  struct Row {
-    std::string name;
-    std::uint64_t count;
-    double sum_ms;
-  };
-  std::vector<Row> rows;
-  for (const auto& [name, h] : snap.histograms)
-    if (name.rfind("time.", 0) == 0 && h.count > 0)
-      rows.push_back({name, h.count, h.sum});
-  if (rows.empty()) return;
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.sum_ms > b.sum_ms; });
-  std::printf("top timers (this process):\n");
-  for (std::size_t i = 0; i < rows.size() && i < top_n; ++i)
-    std::printf("  %-28s %10llu calls %12.1f ms total %9.3f ms/call\n",
-                rows[i].name.c_str(),
-                static_cast<unsigned long long>(rows[i].count),
-                rows[i].sum_ms,
-                rows[i].sum_ms / static_cast<double>(rows[i].count));
+  std::vector<obs::SpanProfileRow> rows;
+  for (const obs::SpanRow& r : obs::span_snapshot())
+    rows.push_back({r.path, r.count, static_cast<double>(r.total_ns) / 1e6,
+                    static_cast<double>(r.self_ns()) / 1e6});
+  std::fputs(obs::render_span_top(rows, top_n).c_str(), stdout);
 }
 
 /// Machine-readable per-bench report. Construct at the top of main, feed it
@@ -135,91 +119,50 @@ class BenchReport {
             std::chrono::steady_clock::now() - t0_)
             .count();
 
-    std::string out;
-    out.reserve(1 << 14);
-    out += "{\"schema_version\":1,\"bench\":\"";
-    obs::json_escape(out, name_);
-    out += "\",\"wall_ms\":";
-    obs::json_number(out, wall_ms);
-
-    out += ",\"build\":{\"compiler\":\"";
-    obs::json_escape(out, __VERSION__);
-    out += "\",\"build_type\":\"";
+    obs::JsonLine build;
+    build.str("compiler", __VERSION__);
 #ifdef NDEBUG
-    out += "Release";
+    build.str("build_type", "Release");
 #else
-    out += "Debug";
+    build.str("build_type", "Debug");
 #endif
-    out += "\",\"threads\":";
-    obs::json_number(out,
-                     static_cast<double>(util::ThreadPool::instance().size()));
-    out += "}";
+    build.num("threads",
+              static_cast<double>(util::ThreadPool::instance().size()));
 
-    out += ",\"env\":{";
-    bool first_env = true;
+    obs::JsonLine env;
     for (const char* var : {"MPASS_N", "MPASS_MAX_QUERIES", "MPASS_THREADS",
-                            "MPASS_NO_CACHE", "MPASS_TRAIN_MAL"}) {
-      const char* v = std::getenv(var);
-      if (!v) continue;
-      if (!first_env) out += ',';
-      first_env = false;
-      out += '"';
-      obs::json_escape(out, var);
-      out += "\":\"";
-      obs::json_escape(out, v);
-      out += '"';
-    }
-    out += "}";
+                            "MPASS_NO_CACHE", "MPASS_TRAIN_MAL"})
+      if (const char* v = std::getenv(var)) env.str(var, v);
 
-    out += ",\"cells\":[";
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      const harness::CellStats& c = cells_[i];
-      if (i) out += ',';
-      out += "{\"attack\":\"";
-      obs::json_escape(out, c.attack);
-      out += "\",\"target\":\"";
-      obs::json_escape(out, c.target);
-      out += "\",\"n\":";
-      obs::json_number(out, static_cast<double>(c.n));
-      out += ",\"asr\":";
-      obs::json_number(out, c.asr);
-      out += ",\"avq\":";
-      obs::json_number(out, c.avq);
-      out += ",\"apr\":";
-      obs::json_number(out, c.apr);
-      out += ",\"functional\":";
-      obs::json_number(out, c.functional);
-      out += ",\"successes\":";
-      obs::json_number(out, static_cast<double>(c.successes));
-      out += ",\"total_queries\":";
-      obs::json_number(out, static_cast<double>(c.total_queries));
-      out += ",\"wall_ms\":";
-      obs::json_number(out, c.wall_ms);
-      out += ",\"qps\":";
-      obs::json_number(out, c.qps);
-      out += '}';
+    std::string cells = "[";
+    for (const harness::CellStats& c : cells_) {
+      if (cells.size() > 1) cells += ',';
+      cells += obs::JsonLine()
+                   .str("attack", c.attack)
+                   .str("target", c.target)
+                   .num("n", static_cast<double>(c.n))
+                   .num("asr", c.asr)
+                   .num("avq", c.avq)
+                   .num("apr", c.apr)
+                   .num("functional", c.functional)
+                   .num("successes", static_cast<double>(c.successes))
+                   .num("total_queries", static_cast<double>(c.total_queries))
+                   .num("wall_ms", c.wall_ms)
+                   .num("qps", c.qps)
+                   .take();
     }
-    out += "]";
+    cells += ']';
 
-    out += ",\"spans\":[";
-    const std::vector<obs::SpanRow> rows = obs::span_snapshot();
-    bool first_span = true;
-    for (const obs::SpanRow& r : rows) {
-      if (!first_span) out += ',';
-      first_span = false;
-      out += "{\"path\":\"";
-      obs::json_escape(out, r.path);
-      out += "\",\"count\":";
-      obs::json_number(out, static_cast<double>(r.count));
-      out += ",\"total_ms\":";
-      obs::json_number(out, static_cast<double>(r.total_ns) / 1e6);
-      out += ",\"self_ms\":";
-      obs::json_number(out, static_cast<double>(r.self_ns()) / 1e6);
-      out += ",\"child_ms\":";
-      obs::json_number(out, static_cast<double>(r.child_ns) / 1e6);
-      out += '}';
-    }
-    out += "]}";
+    const std::string spans = obs::spans_to_json(obs::span_snapshot());
+    std::string out = obs::JsonLine()
+                          .num("schema_version", 1)
+                          .str("bench", name_)
+                          .num("wall_ms", wall_ms)
+                          .raw("build", build.take())
+                          .raw("env", env.take())
+                          .raw("cells", cells)
+                          .raw("spans", spans)
+                          .take();
     out += '\n';
 
     std::filesystem::path dir = ".";

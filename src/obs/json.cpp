@@ -293,4 +293,10 @@ JsonLine& JsonLine::hex(std::string_view k, std::uint64_t v) {
   return *this;
 }
 
+JsonLine& JsonLine::raw(std::string_view k, std::string_view json) {
+  key(k);
+  buf_ += json;
+  return *this;
+}
+
 }  // namespace mpass::obs

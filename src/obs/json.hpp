@@ -75,6 +75,8 @@ class JsonLine {
   JsonLine& strs(std::string_view key, std::span<const std::string> vs);
   /// Hex-formatted u64 (digests), written as a 16-char string.
   JsonLine& hex(std::string_view key, std::uint64_t v);
+  /// Already-serialized JSON value (an object or array built elsewhere).
+  JsonLine& raw(std::string_view key, std::string_view json);
 
   /// Closes the object and returns the line.
   std::string take() {

@@ -1,10 +1,10 @@
-// Lock-cheap metrics registry: named counters, gauges and fixed-bucket
-// histograms, sharded per thread and merged on snapshot.
+// Lock-cheap metrics registry: named counters and gauges, counters sharded
+// per thread and merged on snapshot.
 //
 // Design:
 //   * Registration (name -> MetricId) takes a registry mutex once per call
-//     site; handles and OBS_SCOPE cache the id in a function-local static.
-//   * The hot path (inc/observe) touches only the calling thread's shard:
+//     site; Counter/Gauge handles cache the id (keep them in a static).
+//   * The hot path (inc) touches only the calling thread's shard:
 //     a bounds check plus relaxed atomic updates on slots only this thread
 //     writes. No locks, no contention -- safe from any thread, including
 //     the work-stealing util::ThreadPool workers.
@@ -18,22 +18,18 @@
 //     instead of a dangling pointer.
 //
 // Naming scheme (see docs/OBSERVABILITY.md): dot-separated lowercase,
-// "<subsystem>.<what>[.<detail>]"; scoped-timer histograms are
-// "time.<scope>" with millisecond buckets.
+// "<subsystem>.<what>[.<detail>]".
 //
-// The OBS_SCOPE macro lives in obs/span.hpp: a scope is now a hierarchical
-// span (per-call-path accounting) that also feeds the flat "time.<scope>"
-// histogram here.
+// Timing is not a metric: OBS_SCOPE (obs/span.hpp) records a hierarchical
+// span per call path and registers nothing here.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace mpass::obs {
 
@@ -41,22 +37,11 @@ using MetricId = std::uint32_t;
 
 /// Merged view of every metric at one point in time.
 struct Snapshot {
-  struct Histogram {
-    std::vector<double> bounds;          // upper bucket bounds; +inf implicit
-    std::vector<std::uint64_t> buckets;  // bounds.size() + 1 entries
-    std::uint64_t count = 0;
-    double sum = 0.0;
-  };
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, Histogram> histograms;
 
-  /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
+  /// One JSON object: {"counters":{...},"gauges":{...}}.
   std::string to_json() const;
-
-  /// Flat (name, value) view: counters as-is, gauges, and per histogram
-  /// "<name>.count" / "<name>.sum". Used to embed snapshots in CellStats.
-  std::vector<std::pair<std::string, double>> flat() const;
 };
 
 class Registry {
@@ -66,10 +51,9 @@ class Registry {
 
   /// Registers (or looks up) a metric; same (kind, name) always yields the
   /// same id. Throws std::invalid_argument if `name` is already registered
-  /// with a different kind (or different histogram bounds).
+  /// with a different kind.
   MetricId counter(std::string_view name);
   MetricId gauge(std::string_view name);
-  MetricId histogram(std::string_view name, std::span<const double> bounds);
 
   /// Gauge whose value is computed at snapshot time (e.g. queue depth).
   /// Re-registering a name replaces the callback. The callback must remain
@@ -78,7 +62,6 @@ class Registry {
 
   void inc(MetricId id, std::uint64_t delta = 1) noexcept;
   void set(MetricId id, double value) noexcept;
-  void observe(MetricId id, double value) noexcept;
 
   Snapshot snapshot() const;
 
@@ -112,22 +95,5 @@ class Gauge {
  private:
   MetricId id_;
 };
-
-class Histogram {
- public:
-  Histogram(std::string_view name, std::span<const double> bounds)
-      : id_(Registry::instance().histogram(name, bounds)) {}
-  void observe(double v) const noexcept {
-    Registry::instance().observe(id_, v);
-  }
-
- private:
-  MetricId id_;
-};
-
-/// Default wall-time buckets for scoped timers, in milliseconds
-/// (exponential 10us .. 30s). Span sites (obs/span.hpp) register their flat
-/// "time.<scope>" histograms with these bounds.
-std::span<const double> time_bounds();
 
 }  // namespace mpass::obs

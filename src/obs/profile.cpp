@@ -105,9 +105,9 @@ std::string render_span_top(const std::vector<SpanProfileRow>& rows,
   out += buf;
   for (std::size_t i = 0; i < sorted.size() && i < n; ++i) {
     const SpanProfileRow& r = sorted[i];
-    std::snprintf(buf, sizeof(buf), "  %12.3f %12.3f %10llu  %s\n",
-                  std::max(r.self_ms, 0.0), r.total_ms,
-                  static_cast<unsigned long long>(r.count), r.path.c_str());
+    std::snprintf(buf, sizeof(buf), "  %12.3f %12.3f %10llu  %s\n", r.self_ms,
+                  r.total_ms, static_cast<unsigned long long>(r.count),
+                  r.path.c_str());
     out += buf;
   }
   if (sorted.empty()) out += "  (no spans)\n";
@@ -152,7 +152,7 @@ std::string render_span_tree(const std::vector<SpanProfileRow>& rows) {
                   static_cast<int>(std::max<std::size_t>(
                       44 - 2 * (depth - 1), 8)),
                   std::string(basename_of(r->path)).c_str(), r->total_ms,
-                  std::max(r->self_ms, 0.0), pct);
+                  r->self_ms, pct);
     out += buf;
     if (const auto kids = children.find(r->path); kids != children.end())
       for (auto it = kids->second.rbegin(); it != kids->second.rend(); ++it)

@@ -95,10 +95,9 @@ struct PathNode {
 
 struct SpanCore {
   mutable std::mutex mu;
-  // site id -> (name, flat "time.<name>" histogram). reserve()d; elements
-  // are written once before their id is published, so readers holding an
-  // id index without the lock.
-  std::vector<std::pair<std::string, MetricId>> sites;
+  // site id -> name. reserve()d; elements are written once before their id
+  // is published, so readers holding an id index without the lock.
+  std::vector<std::string> sites;
   std::map<std::string, std::uint32_t, std::less<>> site_by_name;
   std::vector<PathNode> paths;  // paths[0] = root
   std::map<std::uint64_t, std::uint32_t> path_by_key;  // parent<<32|site
@@ -131,11 +130,8 @@ struct SpanCore {
       return it->second;
     if (sites.size() >= kMaxSites)
       throw std::length_error("obs: span site table full");
-    std::string hist = "time.";
-    hist += name;
-    const MetricId mid = Registry::instance().histogram(hist, time_bounds());
     const auto id = static_cast<std::uint32_t>(sites.size());
-    sites.emplace_back(std::string(name), mid);
+    sites.emplace_back(name);
     site_by_name.emplace(std::string(name), id);
     return id;
   }
@@ -191,8 +187,7 @@ std::shared_ptr<SpanCore>& core_ref() {
 
 struct Frame {
   std::uint32_t path = kRootPath;
-  std::uint32_t parent = kRootPath;
-  std::uint32_t site = 0;
+  std::uint32_t parent = kRootPath;  // path charged with this frame as child
   std::uint64_t t0 = 0;
 };
 
@@ -232,6 +227,11 @@ std::uint32_t cached_path(SpanTls& t, std::uint32_t parent,
   return path;
 }
 
+// The path of the innermost open frame on this thread (root if none).
+std::uint32_t current_path(const SpanTls& t) {
+  return t.stack.empty() ? kRootPath : t.stack.back().path;
+}
+
 void pop_frame(SpanTls& t) {
   const Frame f = t.stack.back();
   t.stack.pop_back();
@@ -247,9 +247,6 @@ void pop_frame(SpanTls& t) {
                                                 std::memory_order_relaxed);
   s.slots[f.parent * kSlotsPerPath + 2].fetch_add(dur,
                                                   std::memory_order_relaxed);
-  // Flat per-site histogram, same series the old ScopedTimer fed.
-  Registry::instance().observe(t.core->sites[f.site].second,
-                               static_cast<double>(dur) / 1e6);
   if (g_profiling.load(std::memory_order_relaxed))
     s.record_event(
         {ProfileEvent::kComplete, t.tid, f.path, f.t0, dur, /*flow=*/0});
@@ -275,10 +272,8 @@ SpanSiteId span_site(std::string_view name) {
 
 Span::Span(SpanSiteId site) noexcept {
   SpanTls& t = tls();
-  const std::uint32_t parent =
-      t.stack.empty() ? kRootPath : t.stack.back().path;
-  t.stack.push_back(Frame{cached_path(t, parent, site), parent, site,
-                          now_ns()});
+  const std::uint32_t parent = current_path(t);
+  t.stack.push_back(Frame{cached_path(t, parent, site), parent, now_ns()});
 }
 
 Span::~Span() { pop_frame(tls()); }
@@ -293,7 +288,7 @@ SpanHandoff span_handoff_capture() {
     return {};
   SpanTls& t = tls();
   SpanHandoff h;
-  h.path = t.stack.empty() ? kRootPath : t.stack.back().path;
+  h.path = current_path(t);
   if (g_profiling.load(std::memory_order_relaxed)) {
     h.flow = t.core->next_flow.fetch_add(1, std::memory_order_relaxed);
     t.shard->record_event({ProfileEvent::kFlowStart, t.tid, /*path=*/0,
@@ -310,7 +305,9 @@ SpanTaskScope::SpanTaskScope(const SpanHandoff& h) noexcept {
   if (h.flow && g_profiling.load(std::memory_order_relaxed))
     t.shard->record_event(
         {ProfileEvent::kFlowFinish, t.tid, /*path=*/0, t0, /*dur=*/0, h.flow});
-  t.stack.push_back(Frame{cached_path(t, h.path, site), h.path, site, t0});
+  // The tree node hangs under the submitter's path; the time is charged to
+  // the frame that encloses the task here, where it actually ran.
+  t.stack.push_back(Frame{cached_path(t, h.path, site), current_path(t), t0});
   active_ = true;
 }
 
@@ -342,7 +339,7 @@ std::vector<SpanRow> span_snapshot() {
   std::vector<std::uint32_t> depths(c.paths.size(), 0);
   for (std::size_t id = 1; id < c.paths.size(); ++id) {
     const PathNode& node = c.paths[id];
-    const std::string& site = c.sites[node.site].first;
+    const std::string& site = c.sites[node.site];
     if (node.parent == kRootPath) {
       names[id] = site;
       depths[id] = 1;
@@ -366,24 +363,18 @@ std::vector<SpanRow> span_snapshot() {
 }
 
 std::string spans_to_json(const std::vector<SpanRow>& rows) {
-  std::string s = "{\"schema_version\":1,\"spans\":[";
-  bool first = true;
+  std::string s = "[";
   for (const SpanRow& r : rows) {
-    if (!first) s += ',';
-    first = false;
-    s += "{\"path\":";
-    s += json_quote(r.path);
-    s += ",\"count\":";
-    json_number(s, static_cast<double>(r.count));
-    s += ",\"total_ms\":";
-    json_number(s, static_cast<double>(r.total_ns) / 1e6);
-    s += ",\"self_ms\":";
-    json_number(s, static_cast<double>(r.self_ns()) / 1e6);
-    s += ",\"child_ms\":";
-    json_number(s, static_cast<double>(r.child_ns) / 1e6);
-    s += '}';
+    if (s.size() > 1) s += ',';
+    s += JsonLine()
+             .str("path", r.path)
+             .num("count", static_cast<double>(r.count))
+             .num("total_ms", static_cast<double>(r.total_ns) / 1e6)
+             .num("self_ms", static_cast<double>(r.self_ns()) / 1e6)
+             .num("child_ms", static_cast<double>(r.child_ns) / 1e6)
+             .take();
   }
-  s += "]}";
+  s += ']';
   return s;
 }
 
@@ -434,7 +425,7 @@ void append_chrome_event(std::string& out, bool& first,
     case ProfileEvent::kComplete: {
       const PathNode& node = c.paths[ev.path];
       out += "{\"ph\":\"X\",\"name\":";
-      out += json_quote(c.sites[node.site].first);
+      out += json_quote(c.sites[node.site]);
       out += ",\"cat\":\"span\",\"pid\":1,\"tid\":";
       std::snprintf(buf, sizeof(buf), "%u,\"ts\":", ev.tid);
       out += buf;
@@ -488,8 +479,8 @@ void flush_profile() {
   for (std::size_t id = 1; id < c.paths.size(); ++id) {
     const PathNode& node = c.paths[id];
     names[id] = node.parent == kRootPath
-                    ? c.sites[node.site].first
-                    : names[node.parent] + "/" + c.sites[node.site].first;
+                    ? c.sites[node.site]
+                    : names[node.parent] + "/" + c.sites[node.site];
   }
 
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";

@@ -1,11 +1,9 @@
-// Hierarchical span profiler layered on the metrics registry.
+// Hierarchical span profiler: the project's one timer.
 //
 // Every OBS_SCOPE site is a *span*: a node in the calling thread's call-path
-// tree. Where the flat "time.<scope>" histograms answer "how long does
-// pe.parse take?", spans answer "how much of harness.run_cell's time is
-// pe.parse, and how much is its own?" -- total time and self time are
-// accumulated per *call path* (e.g. "harness.run_cell/pool.task/
-// attack.mpass.run/pe.parse"), not per site.
+// tree. Spans answer "how much of harness.run_cell's time is pe.parse, and
+// how much is its own?" -- total time and self time are accumulated per
+// *call path* (e.g. "harness.run_cell/pool.task/attack.mpass.run/pe.parse").
 //
 // Design (mirrors obs::Metrics):
 //   * Sites and call paths are interned once under a core mutex; the hot
@@ -13,10 +11,11 @@
 //     warm push/pop is a couple of clock reads plus relaxed atomic adds on
 //     slots only the calling thread writes.
 //   * Each path owns three shard slots: count, total_ns, and child_ns (the
-//     summed totals of its direct child frames). Self time is derived at
-//     merge time as total - child, which keeps the accounting exact by
-//     construction: merged self + merged child == merged total, and for
-//     non-recursive trees child_ns equals the sum of the children's totals.
+//     summed durations of frames that ran directly inside its frames on the
+//     same thread). Self time is derived at merge time as total - child,
+//     which keeps the accounting exact by construction: merged self + merged
+//     child == merged total, self is never negative, and for non-recursive,
+//     single-thread trees child_ns equals the sum of the children's totals.
 //   * Direct recursion collapses onto the parent path (a site nested under
 //     itself reuses the parent's node), so recursive scopes cannot grow the
 //     path table without bound.
@@ -28,15 +27,17 @@
 // Cross-thread propagation: util::ThreadPool captures a SpanHandoff at
 // submit() and opens a SpanTaskScope ("pool.task" span, parented under the
 // *submitting* call path) around the task body, so a worker executing a
-// stolen task records under the span that submitted it. With profiling on,
-// the handoff also carries a flow id linking submit to execution with a
-// Chrome flow arrow.
+// stolen task records under the span that submitted it. The task's duration
+// counts as child time of the frame enclosing it on the *executing* thread
+// (none, on an idle worker), never of the submitter, whose own frame may
+// overlap it in time. With profiling on, the handoff also carries a flow id
+// linking submit to execution with a Chrome flow arrow.
 //
 // Profiling sink: MPASS_PROFILE=<file> records one Chrome trace-event
 // "complete" event per span pop (plus flow arrows and thread names) and
 // writes Perfetto-loadable JSON at flush_profile() / process exit. With the
-// variable unset, no events are recorded and the only cost over the old
-// flat timers is the span-stack bookkeeping.
+// variable unset, no events are recorded and a span costs two clock reads,
+// the span-stack bookkeeping and three relaxed adds.
 #pragma once
 
 #include <cstdint>
@@ -46,19 +47,16 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace mpass::obs {
 
 using SpanSiteId = std::uint32_t;
 
-/// Interns a span site name and registers the matching flat "time.<name>"
-/// histogram (the OBS_SCOPE macro caches the id in a function-local static).
+/// Interns a span site name (the OBS_SCOPE macro caches the id in a
+/// function-local static).
 SpanSiteId span_site(std::string_view name);
 
 /// RAII span: pushes the site onto the calling thread's span stack; the
-/// destructor pops it, accumulating (count, total, child) for the call path
-/// and observing the flat "time.<name>" histogram.
+/// destructor pops it, accumulating (count, total, child) for the call path.
 class Span {
  public:
   explicit Span(SpanSiteId site) noexcept;
@@ -70,8 +68,8 @@ class Span {
 #define MPASS_OBS_CONCAT2(a, b) a##b
 #define MPASS_OBS_CONCAT(a, b) MPASS_OBS_CONCAT2(a, b)
 
-/// Times the enclosing scope as a hierarchical span (and into the flat
-/// "time.<name>" histogram). One-time registration per call site.
+/// Times the enclosing scope as a hierarchical span. One-time registration
+/// per call site.
 #define OBS_SCOPE(name)                                              \
   static const ::mpass::obs::SpanSiteId MPASS_OBS_CONCAT(            \
       obs_scope_site_, __LINE__) = ::mpass::obs::span_site(name);    \
@@ -81,9 +79,9 @@ class Span {
 
 // ---- snapshots --------------------------------------------------------------
 
-/// Merged per-call-path statistics. self_ns() is exact by construction:
-/// total_ns - child_ns, where child_ns sums the totals of direct child
-/// frames (negative only for paths whose async children outlive them).
+/// Merged per-call-path statistics. self_ns() is exact and non-negative by
+/// construction: total_ns - child_ns, where child_ns sums the durations of
+/// frames nested directly inside this path's frames on the same thread.
 struct SpanRow {
   std::string path;  // site names joined with '/', e.g. "a/b/c"
   std::uint32_t depth = 0;
@@ -99,8 +97,8 @@ struct SpanRow {
 /// Deterministic merged view of every completed span, sorted by path.
 std::vector<SpanRow> span_snapshot();
 
-/// {"schema_version":1,"spans":[{"path","count","total_ms","self_ms",
-/// "child_ms"},...]} -- the schema tools/mpass_prof and BENCH_*.json embed.
+/// [{"path","count","total_ms","self_ms","child_ms"},...] -- the "spans"
+/// array of both spans.json and BENCH_*.json, read by tools/mpass_prof.
 std::string spans_to_json(const std::vector<SpanRow>& rows);
 
 // ---- cross-thread handoff (used by util::ThreadPool) ------------------------
@@ -120,7 +118,8 @@ SpanHandoff span_handoff_capture();
 
 /// Opens a "pool.task" span parented under the handoff's path on the
 /// executing thread (which may differ from the submitter), and records the
-/// flow-finish event. Inactive for a disengaged handoff.
+/// flow-finish event. Its duration is charged as child time to the frame
+/// enclosing it on the executing thread. Inactive for a disengaged handoff.
 class SpanTaskScope {
  public:
   explicit SpanTaskScope(const SpanHandoff& h) noexcept;

@@ -184,7 +184,10 @@ void write_metrics_snapshot() {
   if (out) out.write(json.data(), static_cast<std::streamsize>(json.size()));
   // Call-path view of the same run, consumed by `mpass_prof top/tree/export`
   // and the `mpass_trace summary --spans` section.
-  const std::string spans = spans_to_json(span_snapshot());
+  const std::string spans = JsonLine()
+                                .num("schema_version", 1)
+                                .raw("spans", spans_to_json(span_snapshot()))
+                                .take();
   std::ofstream sout(*dir / "spans.json", std::ios::binary | std::ios::trunc);
   if (sout)
     sout.write(spans.data(), static_cast<std::streamsize>(spans.size()));

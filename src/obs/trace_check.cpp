@@ -265,7 +265,7 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
     const std::optional<Json> parsed =
         text ? Json::parse(*text) : std::nullopt;
     if (!parsed || !parsed->is_object() || !parsed->get("counters") ||
-        !parsed->get("histograms"))
+        !parsed->get("gauges"))
       rep.errors.push_back("metrics.json: malformed snapshot");
     else
       rep.data.has_metrics = true;

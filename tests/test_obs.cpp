@@ -1,7 +1,8 @@
 // Tests for the observability subsystem: metrics registry (exact concurrent
-// counting, histogram bucketing, deterministic snapshot merging across
-// thread retirement), the JSON helpers, and the JSONL trace sink round-trip
-// through the trace reader/validator that backs tools/mpass_trace.
+// counting, deterministic snapshot merging across thread retirement, no
+// metrics from span sites), the JSON helpers, and the JSONL trace sink
+// round-trip through the trace reader/validator that backs
+// tools/mpass_trace.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_check.hpp"
 
@@ -46,32 +48,6 @@ TEST(Metrics, ConcurrentIncrementsSumExactly) {
   EXPECT_EQ(after - before, kThreads * kPerThread);
 }
 
-TEST(Metrics, HistogramBucketBoundaries) {
-  Registry& reg = Registry::instance();
-  const double bounds[] = {1.0, 10.0, 100.0};
-  const MetricId id = reg.histogram("test.obs.hist", bounds);
-
-  // Bucket rule: first bound >= value; above the last bound -> overflow.
-  reg.observe(id, 0.5);    // bucket 0
-  reg.observe(id, 1.0);    // bucket 0 (inclusive upper bound)
-  reg.observe(id, 1.0001); // bucket 1
-  reg.observe(id, 10.0);   // bucket 1
-  reg.observe(id, 99.9);   // bucket 2
-  reg.observe(id, 100.5);  // bucket 3 (overflow)
-
-  const Snapshot s = reg.snapshot();
-  const auto it = s.histograms.find("test.obs.hist");
-  ASSERT_NE(it, s.histograms.end());
-  const Snapshot::Histogram& h = it->second;
-  ASSERT_EQ(h.buckets.size(), 4u);
-  EXPECT_EQ(h.buckets[0], 2u);
-  EXPECT_EQ(h.buckets[1], 2u);
-  EXPECT_EQ(h.buckets[2], 1u);
-  EXPECT_EQ(h.buckets[3], 1u);
-  EXPECT_EQ(h.count, 6u);
-  EXPECT_NEAR(h.sum, 0.5 + 1.0 + 1.0001 + 10.0 + 99.9 + 100.5, 1e-9);
-}
-
 TEST(Metrics, SnapshotMergesRetiredThreadsDeterministically) {
   Registry& reg = Registry::instance();
   const MetricId id = reg.counter("test.obs.retired");
@@ -97,9 +73,6 @@ TEST(Metrics, KindMismatchThrows) {
   Registry& reg = Registry::instance();
   reg.counter("test.obs.kind");
   EXPECT_THROW(reg.gauge("test.obs.kind"), std::invalid_argument);
-  const double bounds[] = {1.0};
-  EXPECT_THROW(reg.histogram("test.obs.kind", bounds),
-               std::invalid_argument);
 }
 
 TEST(Metrics, GaugeAndCallbackGaugeAppearInSnapshot) {
@@ -109,12 +82,15 @@ TEST(Metrics, GaugeAndCallbackGaugeAppearInSnapshot) {
   const Snapshot s = reg.snapshot();
   EXPECT_DOUBLE_EQ(s.gauges.at("test.obs.gauge"), 2.5);
   EXPECT_DOUBLE_EQ(s.gauges.at("test.obs.cbgauge"), 7.0);
+}
 
-  // flat() carries counters, gauges and histogram .count/.sum.
-  bool saw_gauge = false;
-  for (const auto& [name, v] : s.flat())
-    if (name == "test.obs.gauge") saw_gauge = v == 2.5;
-  EXPECT_TRUE(saw_gauge);
+TEST(Metrics, SpanSitesRegisterNoMetric) {
+  {
+    OBS_SCOPE("test.obs.scope");
+  }
+  // Every section of the snapshot: no metric name starts with "time.".
+  const std::string json = Registry::instance().snapshot().to_json();
+  EXPECT_EQ(json.find("\"time."), std::string::npos) << json;
 }
 
 TEST(Json, LineBuilderOutputParsesBack) {
@@ -238,6 +214,32 @@ TEST(Trace, CheckDirReconcilesQueryBudgets) {
   ASSERT_EQ(ok.data.cells.size(), 1u);
   EXPECT_EQ(ok.data.cells[0].total_queries, 12u);
   EXPECT_TRUE(ok.data.has_metrics);
+
+  // metrics.json holds counters and gauges only; spans.json is versioned.
+  const auto read_json = [&](const char* file) {
+    std::ifstream in(guard.dir / file);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return Json::parse(ss.str());
+  };
+  const auto metrics = read_json("metrics.json");
+  ASSERT_TRUE(metrics.has_value());
+  EXPECT_TRUE(metrics->get("counters") && metrics->get("gauges"));
+  EXPECT_EQ(metrics->get("histograms"), nullptr);
+  const auto spans = read_json("spans.json");
+  ASSERT_TRUE(spans.has_value());
+  ASSERT_TRUE(spans->get("schema_version"));
+  EXPECT_EQ(spans->get("schema_version")->number(), 1.0);
+  EXPECT_TRUE(spans->get("spans") && spans->get("spans")->is_array());
+
+  // A snapshot missing its gauges fails the check.
+  std::ofstream(guard.dir / "metrics.json", std::ios::trunc)
+      << R"({"counters":{}})";
+  const TraceCheckReport no_gauges = check_trace_dir(guard.dir);
+  EXPECT_FALSE(no_gauges.ok());
+  EXPECT_FALSE(no_gauges.data.has_metrics);
+  write_metrics_snapshot();
+  EXPECT_TRUE(check_trace_dir(guard.dir).ok());
 
   // A fully-traced cell whose query totals disagree must fail the check.
   append_run_line("cells.jsonl", JsonLine()

@@ -171,9 +171,8 @@ int run_summary(const std::filesystem::path& dir, bool spans,
   return 0;
 }
 
-/// Loads a metrics.json snapshot into flat name -> value pairs
-/// (counters as-is, gauges, histogram .count/.sum), mirroring
-/// obs::Snapshot::flat().
+/// Loads a metrics.json snapshot into flat name -> value pairs (counters
+/// and gauges).
 std::optional<std::map<std::string, double>> load_metrics(
     const std::filesystem::path& path) {
   const auto blob = mpass::util::load_file(path);
@@ -195,13 +194,6 @@ std::optional<std::map<std::string, double>> load_metrics(
   if (const Json* gauges = doc->get("gauges"); gauges)
     for (const auto& [name, v] : gauges->fields())
       if (v.is_number()) flat[name] = v.number();
-  if (const Json* hists = doc->get("histograms"); hists)
-    for (const auto& [name, h] : hists->fields()) {
-      if (const Json* c = h.get("count"); c && c->is_number())
-        flat[name + ".count"] = c->number();
-      if (const Json* s = h.get("sum"); s && s->is_number())
-        flat[name + ".sum"] = s->number();
-    }
   return flat;
 }
 
