@@ -1,6 +1,6 @@
 // Component micro-benchmarks (google-benchmark): PE parse/build, feature
-// extraction, detector inference, the optimizer step, emulator throughput,
-// LZSS, Shapley.
+// extraction, detector inference, the optimizer step, GRU byte generation,
+// emulator throughput, LZSS, Shapley.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -10,6 +10,7 @@
 #include "detectors/features.hpp"
 #include "detectors/models.hpp"
 #include "explain/shapley.hpp"
+#include "ml/gru.hpp"
 #include "pack/packer.hpp"
 #include "pe/pe.hpp"
 #include "util/compress.hpp"
@@ -116,6 +117,23 @@ void BM_OptTokenSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptTokenSearch)->Unit(benchmark::kMillisecond);
+
+// MalRNN's unit of work, as gridbench's ml.gru.us_per_byte measures it:
+// 8192 bytes sampled at temperature 0.8 after a 64-byte context. The LM is
+// untrained; the per-byte cost hardly depends on the weights' values.
+void BM_GruGenerate(benchmark::State& state) {
+  constexpr std::size_t kBytes = 8192;
+  const ml::GruLm lm(ml::GruLmConfig{}, 21);
+  const util::ByteBuf& bytes = sample_malware();
+  const std::span<const std::uint8_t> context(bytes.data() + bytes.size() - 64,
+                                              64);
+  util::Rng rng(22);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(lm.generate(kBytes, rng, context, 0.8f));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * kBytes));
+}
+BENCHMARK(BM_GruGenerate)->Unit(benchmark::kMillisecond);
 
 void BM_VmExecute(benchmark::State& state) {
   const auto& bytes = sample_malware();

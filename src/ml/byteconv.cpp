@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
+#include "ml/lanes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/bytes.hpp"
@@ -16,52 +16,6 @@ constexpr int kPad = 256;
 
 inline float sigmoidf(float x) {
   return 1.0f / (1.0f + std::exp(-x));
-}
-
-// Four float lanes (GCC/Clang vector extension). Loads and stores go
-// through memcpy, so no access assumes alignment.
-typedef float v4f __attribute__((vector_size(16)));
-
-inline v4f load4(const float* p) {
-  v4f v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-inline void store4(float* p, v4f v) { std::memcpy(p, &v, sizeof v); }
-
-// out[j] = bias[j] + w[0*stride + j]*x[0] + w[1*stride + j]*x[1] + ...,
-// for the 4*V lanes j of one block, summed in ascending i: each lane does
-// exactly the float operations of the scalar per-filter reduction.
-template <int V>
-void conv_block(const float* w, std::size_t stride, const float* x,
-                int window, const float* bias, float* out) {
-  v4f acc[V];
-  for (int v = 0; v < V; ++v) acc[v] = load4(bias + 4 * v);
-  for (int i = 0; i < window; ++i) {
-    const float* wi = w + static_cast<std::size_t>(i) * stride;
-    const v4f xi = {x[i], x[i], x[i], x[i]};
-    for (int v = 0; v < V; ++v) acc[v] += load4(wi + 4 * v) * xi;
-  }
-  for (int v = 0; v < V; ++v) store4(out + 4 * v, acc[v]);
-}
-
-// The n filters of one conv over one window, weights window-major (lane j
-// of row i at w[i*stride + j]): 4x4-lane blocks, then 4-lane blocks, then
-// a scalar tail for n % 4.
-void conv_lanes(const float* w, std::size_t stride, const float* x,
-                int window, const float* bias, float* out, int n) {
-  int j = 0;
-  for (; j + 16 <= n; j += 16)
-    conv_block<4>(w + j, stride, x, window, bias + j, out + j);
-  for (; j + 4 <= n; j += 4)
-    conv_block<1>(w + j, stride, x, window, bias + j, out + j);
-  for (; j < n; ++j) {
-    float s = bias[j];
-    for (int i = 0; i < window; ++i)
-      s += w[static_cast<std::size_t>(i) * stride + j] * x[i];
-    out[j] = s;
-  }
 }
 }  // namespace
 
@@ -151,8 +105,8 @@ void ByteConvNet::conv_row(std::size_t p) {
   const std::size_t lanes = 2 * static_cast<std::size_t>(F);
   float* ap = a_.data() + p * F;
   float* bp = b_.data() + p * F;
-  conv_lanes(packed_.data(), lanes, win, window, ba_->w.data(), ap, F);
-  conv_lanes(packed_.data() + F, lanes, win, window, bb_->w.data(), bp, F);
+  lane_matvec(packed_.data(), lanes, win, window, ba_->w.data(), ap, F);
+  lane_matvec(packed_.data() + F, lanes, win, window, bb_->w.data(), bp, F);
   float* hp = h_.data() + p * F;
   for (int f = 0; f < F; ++f)
     hp[f] = cfg_.gated ? ap[f] * sigmoidf(bp[f]) : std::max(0.0f, ap[f]);

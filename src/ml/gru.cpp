@@ -4,21 +4,13 @@
 #include <cmath>
 #include <memory>
 
+#include "ml/lanes.hpp"
+#include "obs/span.hpp"
+
 namespace mpass::ml {
 
 namespace {
 inline float sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-/// y += A (rows x cols, row-major) * x
-void matvec_acc(std::span<const float> a, std::span<const float> x,
-                std::span<float> y, int rows, int cols) {
-  for (int i = 0; i < rows; ++i) {
-    float s = 0.0f;
-    const float* row = a.data() + static_cast<std::size_t>(i) * cols;
-    for (int j = 0; j < cols; ++j) s += row[j] * x[static_cast<std::size_t>(j)];
-    y[static_cast<std::size_t>(i)] += s;
-  }
-}
 
 /// y += A^T * x  (A is rows x cols; x has rows elems; y has cols elems)
 void matvec_t_acc(std::span<const float> a, std::span<const float> x,
@@ -76,58 +68,87 @@ GruLm::GruLm(const GruLmConfig& cfg, std::uint64_t seed) : cfg_(cfg) {
   opt_ = std::make_unique<Adam>(params_, 2e-3f);
 }
 
-void GruLm::step(int token, std::vector<float>& h, StepCache* cache) const {
-  const int E = cfg_.embed, H = cfg_.hidden;
-  std::vector<float> x(emb_->w.begin() + static_cast<std::size_t>(token) * E,
-                       emb_->w.begin() + static_cast<std::size_t>(token + 1) * E);
-  std::vector<float> z(bz_->w.begin(), bz_->w.end());
-  std::vector<float> r(br_->w.begin(), br_->w.end());
-  std::vector<float> n(bn_->w.begin(), bn_->w.end());
-  std::vector<float> un_h(static_cast<std::size_t>(H), 0.0f);
+GruLm::Packed GruLm::pack() const {
+  const std::size_t E = static_cast<std::size_t>(cfg_.embed);
+  const std::size_t H = static_cast<std::size_t>(cfg_.hidden);
+  const std::size_t V = static_cast<std::size_t>(cfg_.vocab);
+  const std::size_t G = 3 * H;
+  Packed pk;
+  // Gate g's row j of W (H x E) / U (H x H) becomes lane g*H + j.
+  const auto transpose_gates = [G, H](std::vector<float>& out,
+                                      const Param* const (&gates)[3],
+                                      std::size_t k) {
+    out.resize(k * G);
+    for (std::size_t g = 0; g < 3; ++g)
+      for (std::size_t j = 0; j < H; ++j)
+        for (std::size_t i = 0; i < k; ++i)
+          out[i * G + g * H + j] = gates[g]->w[j * k + i];
+  };
+  transpose_gates(pk.wx, {wz_, wr_, wn_}, E);
+  transpose_gates(pk.uh, {uz_, ur_, un_}, H);
+  pk.wo.resize(H * V);
+  for (std::size_t v = 0; v < V; ++v)
+    for (std::size_t i = 0; i < H; ++i) pk.wo[i * V + v] = wo_->w[v * H + i];
+  pk.zeros.assign(std::max(G, V), 0.0f);
+  pk.sx.resize(G);
+  pk.sh.resize(G);
+  pk.z.resize(H);
+  pk.r.resize(H);
+  pk.n.resize(H);
+  return pk;
+}
 
-  matvec_acc(wz_->w, x, z, H, E);
-  matvec_acc(uz_->w, h, z, H, H);
-  matvec_acc(wr_->w, x, r, H, E);
-  matvec_acc(ur_->w, h, r, H, H);
-  matvec_acc(un_->w, h, un_h, H, H);
+void GruLm::step(Packed& pk, int token, std::span<float> h,
+                 StepCache* cache) const {
+  const int E = cfg_.embed, H = cfg_.hidden, G = 3 * H;
+  const float* x = emb_->w.data() + static_cast<std::size_t>(token) * E;
+  // Each lane is one gate row's reduction from 0.0f, the old per-row
+  // `s += w*x` loop; the biases join afterwards in the old order.
+  lane_matvec(pk.wx.data(), G, x, E, pk.zeros.data(), pk.sx.data(), G);
+  lane_matvec(pk.uh.data(), G, h.data(), H, pk.zeros.data(), pk.sh.data(), G);
+  const float* sx = pk.sx.data();
+  const float* sh = pk.sh.data();
+  const float* un_h = sh + 2 * H;
+  float* z = pk.z.data();
+  float* r = pk.r.data();
+  float* n = pk.n.data();
   for (int i = 0; i < H; ++i) {
-    z[static_cast<std::size_t>(i)] = sigmoidf(z[static_cast<std::size_t>(i)]);
-    r[static_cast<std::size_t>(i)] = sigmoidf(r[static_cast<std::size_t>(i)]);
+    const std::size_t k = static_cast<std::size_t>(i);
+    z[i] = sigmoidf((bz_->w[k] + sx[i]) + sh[i]);
+    r[i] = sigmoidf((br_->w[k] + sx[H + i]) + sh[H + i]);
+    n[i] = std::tanh((bn_->w[k] + sx[2 * H + i]) + r[i] * un_h[i]);
   }
-  matvec_acc(wn_->w, x, n, H, E);
-  for (int i = 0; i < H; ++i)
-    n[static_cast<std::size_t>(i)] += r[static_cast<std::size_t>(i)] *
-                                      un_h[static_cast<std::size_t>(i)];
-  for (int i = 0; i < H; ++i)
-    n[static_cast<std::size_t>(i)] = std::tanh(n[static_cast<std::size_t>(i)]);
 
   if (cache) {
     cache->token = token;
-    cache->x = x;
-    cache->h_prev = h;
-    cache->z = z;
-    cache->r = r;
-    cache->n = n;
-    cache->un_h = un_h;
+    cache->x.assign(x, x + E);
+    cache->h_prev.assign(h.begin(), h.end());
+    cache->z.assign(z, z + H);
+    cache->r.assign(r, r + H);
+    cache->n.assign(n, n + H);
+    cache->un_h.assign(un_h, un_h + H);
   }
   for (int i = 0; i < H; ++i) {
     const std::size_t k = static_cast<std::size_t>(i);
-    h[k] = (1.0f - z[k]) * n[k] + z[k] * h[k];
+    h[k] = (1.0f - z[i]) * n[i] + z[i] * h[k];
   }
 }
 
-std::vector<float> GruLm::output_probs(const std::vector<float>& h) const {
+void GruLm::output_probs(const Packed& pk, std::span<const float> h,
+                         std::span<float> probs) const {
   const int H = cfg_.hidden, V = cfg_.vocab;
-  std::vector<float> logits(bo_->w.begin(), bo_->w.end());
-  matvec_acc(wo_->w, h, logits, V, H);
-  const float mx = *std::max_element(logits.begin(), logits.end());
+  lane_matvec(pk.wo.data(), V, h.data(), H, pk.zeros.data(), probs.data(), V);
+  for (int i = 0; i < V; ++i) {
+    const std::size_t k = static_cast<std::size_t>(i);
+    probs[k] = bo_->w[k] + probs[k];
+  }
+  const float mx = *std::max_element(probs.begin(), probs.end());
   float sum = 0.0f;
-  for (float& l : logits) {
+  for (float& l : probs) {
     l = std::exp(l - mx);
     sum += l;
   }
-  for (float& l : logits) l /= sum;
-  return logits;
+  for (float& l : probs) l /= sum;
 }
 
 float GruLm::train_epoch(const std::vector<util::ByteBuf>& corpus,
@@ -147,7 +168,8 @@ float GruLm::train_epoch(const std::vector<util::ByteBuf>& corpus,
     const std::size_t start =
         stream.size() > len ? rng.below(stream.size() - len + 1) : 0;
 
-    // Forward with caches.
+    // Forward with caches, over this window's weights.
+    Packed pk = pack();
     std::vector<StepCache> caches(len);
     std::vector<std::vector<float>> probs(len);
     std::vector<std::vector<float>> hs(len + 1);
@@ -155,8 +177,9 @@ float GruLm::train_epoch(const std::vector<util::ByteBuf>& corpus,
     int prev_token = kStart;
     for (std::size_t t = 0; t < len; ++t) {
       hs[t + 1] = hs[t];
-      step(prev_token, hs[t + 1], &caches[t]);
-      probs[t] = output_probs(hs[t + 1]);
+      step(pk, prev_token, hs[t + 1], &caches[t]);
+      probs[t].resize(static_cast<std::size_t>(V));
+      output_probs(pk, hs[t + 1], probs[t]);
       const int target = stream[start + t];
       total_loss -= std::log(std::max(probs[t][static_cast<std::size_t>(target)],
                                       1e-9f));
@@ -235,45 +258,45 @@ float GruLm::train_epoch(const std::vector<util::ByteBuf>& corpus,
 
 util::ByteBuf GruLm::generate(std::size_t n, util::Rng& rng,
                               std::span<const std::uint8_t> context,
-                              float temperature) {
-  const int H = cfg_.hidden;
+                              float temperature) const {
+  OBS_SCOPE("ml.gru.generate");
   const int kStart = cfg_.vocab - 1;
-  std::vector<float> h(static_cast<std::size_t>(H), 0.0f);
-  int prev = kStart;
-  step(prev, h, nullptr);
+  Packed pk = pack();
+  std::vector<float> h(static_cast<std::size_t>(cfg_.hidden), 0.0f);
+  std::vector<float> p(static_cast<std::size_t>(cfg_.vocab));
+  std::vector<double> weights(256);
+  step(pk, kStart, h);
   for (std::uint8_t b : context.subspan(
-           context.size() > 64 ? context.size() - 64 : 0)) {
-    prev = b;
-    step(prev, h, nullptr);
-  }
+           context.size() > 64 ? context.size() - 64 : 0))
+    step(pk, b, h);
   util::ByteBuf out;
   out.reserve(n);
   const float inv_temp = 1.0f / std::max(temperature, 0.05f);
   for (std::size_t i = 0; i < n; ++i) {
-    std::vector<float> p = output_probs(h);
+    output_probs(pk, h, p);
     // Temperature re-shaping over the 256 byte values (exclude start token).
-    std::vector<double> weights(256);
     for (int b = 0; b < 256; ++b)
       weights[static_cast<std::size_t>(b)] =
           std::pow(static_cast<double>(p[static_cast<std::size_t>(b)]),
                    static_cast<double>(inv_temp));
     const int next = static_cast<int>(rng.weighted(weights));
     out.push_back(static_cast<std::uint8_t>(next));
-    step(next, h, nullptr);
+    step(pk, next, h);
   }
   return out;
 }
 
-float GruLm::evaluate(std::span<const std::uint8_t> bytes) {
+float GruLm::evaluate(std::span<const std::uint8_t> bytes) const {
   if (bytes.empty()) return 0.0f;
-  const int H = cfg_.hidden;
   const int kStart = cfg_.vocab - 1;
-  std::vector<float> h(static_cast<std::size_t>(H), 0.0f);
+  Packed pk = pack();
+  std::vector<float> h(static_cast<std::size_t>(cfg_.hidden), 0.0f);
+  std::vector<float> p(static_cast<std::size_t>(cfg_.vocab));
   int prev = kStart;
   double loss = 0.0;
   for (std::uint8_t b : bytes) {
-    step(prev, h, nullptr);
-    std::vector<float> p = output_probs(h);
+    step(pk, prev, h);
+    output_probs(pk, h, p);
     loss -= std::log(std::max(p[b], 1e-9f));
     prev = b;
   }

@@ -34,25 +34,43 @@ class GruLm {
   /// prefix; temperature < 1 sharpens toward the learned benign statistics.
   util::ByteBuf generate(std::size_t n, util::Rng& rng,
                          std::span<const std::uint8_t> context = {},
-                         float temperature = 0.8f);
+                         float temperature = 0.8f) const;
 
   /// Mean cross-entropy of a byte sequence under the model (nats/byte).
-  float evaluate(std::span<const std::uint8_t> bytes);
+  float evaluate(std::span<const std::uint8_t> bytes) const;
 
   const GruLmConfig& config() const { return cfg_; }
+  const ParamSet& params() const { return params_; }
 
   void save(util::Archive& ar) const;
   void load(util::Unarchive& ar);
 
- private:
+  /// The forward weights transposed for the lane kernels (DESIGN
+  /// "Vectorized kernels, bit-exact") plus one step's scratch. Built by
+  /// pack() per generate()/evaluate() call and per training window, never
+  /// cached on the model, so a const GruLm is safe to share across threads.
+  struct Packed {
+    std::vector<float> wx;     // E x 3H: row i = [Wz | Wr | Wn] column i
+    std::vector<float> uh;     // H x 3H: row i = [Uz | Ur | Un] column i
+    std::vector<float> wo;     // H x V: row i = Wo column i
+    std::vector<float> zeros;  // the lanes' 0.0f start, max(3H, V)
+    std::vector<float> sx, sh; // 3H lane sums over x and over h
+    std::vector<float> z, r, n;
+  };
+  Packed pack() const;
+
+  /// Training's per-step activations (gru.cpp).
   struct StepCache;
 
-  /// One GRU step; returns new hidden state, fills cache if given.
-  void step(int token, std::vector<float>& h, StepCache* cache) const;
+  /// One GRU step: h <- GRU(token, h); fills cache if given.
+  void step(Packed& pk, int token, std::span<float> h,
+            StepCache* cache = nullptr) const;
 
-  /// Softmax over logits of hidden state h.
-  std::vector<float> output_probs(const std::vector<float>& h) const;
+  /// Softmax over the V logits of hidden state h, written to probs.
+  void output_probs(const Packed& pk, std::span<const float> h,
+                    std::span<float> probs) const;
 
+ private:
   GruLmConfig cfg_;
   ParamSet params_;
   Param* emb_;                 // vocab x embed
