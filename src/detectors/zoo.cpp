@@ -1,12 +1,14 @@
 #include "detectors/zoo.hpp"
 
 #include <cstdlib>
-#include <thread>
+#include <exception>
+#include <functional>
 
 #include "obs/log.hpp"
 #include "obs/span.hpp"
 #include "pack/packer.hpp"
 #include "util/hashing.hpp"
+#include "util/threadpool.hpp"
 
 namespace mpass::detect {
 
@@ -19,6 +21,33 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   if (const char* v = std::getenv(name); v && *v)
     return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
   return fallback;
+}
+
+/// Runs `tasks` on the shared pool and `here` on the calling thread, then
+/// waits for every task -- also when one of them or `here` throws, since
+/// the tasks reference the caller's frame -- and rethrows the first error.
+void train_on_pool(const std::vector<std::function<void()>>& tasks,
+                   const std::function<void()>& here = {}) {
+  util::ThreadPool& pool = util::ThreadPool::instance();
+  std::vector<std::future<void>> futs;
+  for (const auto& task : tasks) futs.push_back(pool.submit(task));
+  std::exception_ptr error;
+  const auto keep_first = [&error] {
+    if (!error) error = std::current_exception();
+  };
+  try {
+    if (here) here();
+  } catch (...) {
+    keep_first();
+  }
+  for (std::future<void>& f : futs) {
+    try {
+      pool.wait(std::move(f));
+    } catch (...) {
+      keep_first();
+    }
+  }
+  if (error) std::rethrow_exception(error);
 }
 }  // namespace
 
@@ -243,7 +272,7 @@ void ModelZoo::build_or_load() {
             train_.samples.size(), test_.samples.size(), cfg_.net_epochs);
   OBS_SCOPE("zoo.train");
 
-  // Train the target nets and surrogates in parallel, GBDT + LM here.
+  // Train the target nets and surrogates as pool tasks, GBDT + LM here.
   NetTrainConfig tc;
   tc.epochs = cfg_.net_epochs;
   tc.seed = cfg_.seed + 10;
@@ -254,23 +283,21 @@ void ModelZoo::build_or_load() {
       cfg_.seed ^ 0xA77AC4, cfg_.train_malware / 2 + 150,
       cfg_.train_benign / 2 + 150);
   augment_structural_noise(attacker_train, cfg_.seed ^ 0xA07);
-  std::vector<std::thread> workers;
-  workers.emplace_back([&] { train_net(*malconv_, train_, tc); });
-  workers.emplace_back([&] { train_net(*nonneg_, train_, tc); });
-  workers.emplace_back([&] { train_net(*malgcg_, train_, tc); });
+  std::vector<std::function<void()>> nets;
+  for (ByteConvDetector* d : {malconv_.get(), nonneg_.get(), malgcg_.get()})
+    nets.push_back([&, d] { train_net(*d, train_, tc); });
   for (auto& s : surrogates_)
-    workers.emplace_back([&, sp = s.get()] {
+    nets.push_back([&, sp = s.get()] {
       NetTrainConfig stc = tc;
       stc.seed ^= util::fnv1a64(std::string_view(sp->name()));
       train_net(*sp, attacker_train, stc);
     });
-  train_gbdt(*lightgbm_, train_, cfg_.seed + 11);
-  {
+  train_on_pool(nets, [&] {
+    train_gbdt(*lightgbm_, train_, cfg_.seed + 11);
     util::Rng lm_rng(cfg_.seed + 12);
     for (int e = 0; e < cfg_.lm_epochs; ++e)
       lm_->train_epoch(pool_, cfg_.lm_windows, 2e-3f, lm_rng);
-  }
-  for (std::thread& t : workers) t.join();
+  });
 
   for (Detector* d : offline()) {
     calibrate_threshold(*d, train_, cfg_.target_fpr);
@@ -346,12 +373,12 @@ void ModelZoo::build_avs() {
             profiles.size());
   OBS_SCOPE("zoo.train_avs");
   avs_.resize(profiles.size());
-  std::vector<std::thread> workers;
+  std::vector<std::function<void()>> tasks;
   for (std::size_t i = 0; i < profiles.size(); ++i)
-    workers.emplace_back([this, &profiles, i] {
+    tasks.push_back([this, &profiles, i] {
       avs_[i] = std::make_unique<CommercialAv>(profiles[i], train_);
     });
-  for (std::thread& t : workers) t.join();
+  train_on_pool(tasks);
   avs_built_ = true;
 
   if (cfg_.use_cache) {

@@ -409,7 +409,7 @@ std::vector<CellStats> run_grid(std::string_view key,
               std::string(key).c_str(), c.attack.c_str(), c.target.c_str(),
               c.asr, c.avq, c.apr, c.wall_ms, c.qps);
   }
-  obs::write_metrics_snapshot();
+  obs::write_span_snapshot();
   return cells;
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "ml/lanes.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/bytes.hpp"
 
@@ -166,8 +165,6 @@ void ByteConvNet::dense_head() {
 
 float ByteConvNet::full_forward(std::span<const std::uint8_t> bytes) {
   OBS_SCOPE("ml.byteconv.forward");
-  static const obs::Counter count_full("ml.forward.full");
-  count_full.inc();
   const int d = cfg_.embed_dim;
   const int F = cfg_.filters;
   const int W = cfg_.width;
@@ -209,8 +206,6 @@ float ByteConvNet::full_forward(std::span<const std::uint8_t> bytes) {
 float ByteConvNet::apply_delta(std::span<const std::uint8_t> bytes,
                                std::span<const ByteRange> ranges) {
   OBS_SCOPE("ml.forward_delta");
-  static const obs::Counter count_delta("ml.forward.delta");
-  count_delta.inc();
   const int d = cfg_.embed_dim;
   const int F = cfg_.filters;
   const int W = cfg_.width;
@@ -347,8 +342,7 @@ float ByteConvNet::forward(std::span<const std::uint8_t> bytes) {
     if (dirty_bytes * 2 > n_tok) return full_forward(bytes);
   }
   if (ranges.empty()) {
-    static const obs::Counter count_cached("ml.forward.cached");
-    count_cached.inc();
+    OBS_SCOPE("ml.forward_cached");
     return prob_;  // byte-identical to the cached input
   }
   return apply_delta(bytes, ranges);

@@ -24,6 +24,11 @@ struct GruLmConfig {
 class GruLm {
  public:
   GruLm(const GruLmConfig& cfg, std::uint64_t seed);
+  // Neither copyable nor movable: the layer pointers and the Adam state
+  // point into params_, and a copy or move would leave them pointing into
+  // the source.
+  GruLm(const GruLm&) = delete;
+  GruLm& operator=(const GruLm&) = delete;
 
   /// One training pass over `windows` randomly sampled byte windows drawn
   /// from the corpus streams. Returns mean cross-entropy (nats/byte).

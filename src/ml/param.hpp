@@ -26,7 +26,7 @@ struct Param {
   std::size_t size() const { return w.size(); }
 };
 
-/// Registry of a model's parameters.
+/// The set of a model's parameters.
 ///
 /// The set carries a monotonically increasing *version*: every code path
 /// that mutates weights (Adam::step, load, init_gaussian, owners' manual

@@ -18,8 +18,8 @@ namespace mpass::obs {
 
 namespace {
 
-// Caps chosen the way kMaxMetrics is: reserve() to them at startup so the
-// vectors never reallocate and ids can be indexed without the core lock.
+// Caps: reserve() to them at startup so the vectors never reallocate and
+// ids can be indexed without the core lock.
 constexpr std::size_t kMaxSites = 512;
 constexpr std::size_t kMaxPaths = 8192;
 // Per-shard bound on buffered Chrome events; pops beyond it are counted
@@ -52,10 +52,10 @@ struct ProfileEvent {
   std::uint64_t flow = 0;     // flow events
 };
 
-// Per-thread slot shard, same contract as the metrics Shard: the owning
-// thread updates slots with relaxed atomics, growth and snapshot serialize
-// through the mutex. The Chrome event buffer shares the mutex (profiling
-// appends are owner-only, so the lock is uncontended except during flush).
+// Per-thread slot shard: the owning thread updates slots with relaxed
+// atomics, growth and snapshot serialize through the mutex. The Chrome event
+// buffer shares the mutex (profiling appends are owner-only, so the lock is
+// uncontended except during flush).
 struct SpanShard {
   mutable std::mutex mu;
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots;

@@ -5,7 +5,7 @@
 // how much is its own?" -- total time and self time are accumulated per
 // *call path* (e.g. "harness.run_cell/pool.task/attack.mpass.run/pe.parse").
 //
-// Design (mirrors obs::Metrics):
+// Design:
 //   * Sites and call paths are interned once under a core mutex; the hot
 //     path caches (parent path, site) -> path in a thread-local map, so a
 //     warm push/pop is a couple of clock reads plus relaxed atomic adds on

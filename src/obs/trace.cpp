@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace mpass::obs {
@@ -174,23 +173,18 @@ void append_run_line(std::string_view file, std::string line) {
     out.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
-void write_metrics_snapshot() {
+void write_span_snapshot() {
   const std::filesystem::path* dir = trace_dir();
   if (!dir) return;
   std::error_code ec;
   std::filesystem::create_directories(*dir, ec);
-  const std::string json = Registry::instance().snapshot().to_json();
-  std::ofstream out(*dir / "metrics.json", std::ios::binary | std::ios::trunc);
-  if (out) out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  // Call-path view of the same run, consumed by `mpass_prof top/tree/export`
-  // and the `mpass_trace summary --spans` section.
+  // Call-path profile of the run, consumed by `mpass_prof top/tree/diff`.
   const std::string spans = JsonLine()
                                 .num("schema_version", 1)
                                 .raw("spans", spans_to_json(span_snapshot()))
                                 .take();
-  std::ofstream sout(*dir / "spans.json", std::ios::binary | std::ios::trunc);
-  if (sout)
-    sout.write(spans.data(), static_cast<std::streamsize>(spans.size()));
+  std::ofstream out(*dir / "spans.json", std::ios::binary | std::ios::trunc);
+  if (out) out.write(spans.data(), static_cast<std::streamsize>(spans.size()));
 }
 
 }  // namespace mpass::obs

@@ -54,7 +54,7 @@ struct TraceDirData {
   std::vector<SampleTraceData> samples;
   std::vector<CellTraceData> cells;  // in file order; later lines win
   std::size_t pem_lines = 0;
-  bool has_metrics = false;
+  bool has_spans = false;  // spans.json present and well-formed
 };
 
 /// Outcome of validating a trace directory.

@@ -1,4 +1,5 @@
-// Work-stealing thread pool shared by the experiment harness.
+// Work-stealing thread pool shared by the experiment harness and the model
+// zoo's training (detectors/zoo.cpp).
 //
 // The harness's unit of parallelism is one (target, attack, sample) attack
 // run -- thousands of independent tasks per grid -- so the pool is built for
@@ -13,17 +14,13 @@
 // exceptions travel through std::future via std::packaged_task.
 //
 // Pool size: ThreadPool::instance() honors MPASS_THREADS, defaulting to
-// std::thread::hardware_concurrency().
+// std::thread::hardware_concurrency(). The shared pool is created on first
+// use, so a process that only loads cached models starts no threads.
 //
-// Observability: scheduling counters (pool.tasks.submitted, pool.pops.local
-// / .injector / .steal) go through the obs::Registry; the shared instance()
-// pool also exports a pool.pending queue-depth gauge. The conservation
-// invariant submits == sum(pops) after a drain is tested in
-// test_threadpool.cpp. Span context (obs/span.hpp) propagates across
-// submit(): each task executes under a "pool.task" span parented at the
-// submitting call path -- so stolen tasks profile under their submitter --
-// and, with MPASS_PROFILE set, submit and execution are linked by Chrome
-// flow arrows.
+// Observability: span context (obs/span.hpp) propagates across submit():
+// each task executes under a "pool.task" span parented at the submitting
+// call path -- so stolen tasks profile under their submitter -- and, with
+// MPASS_PROFILE set, submit and execution are linked by Chrome flow arrows.
 #pragma once
 
 #include <atomic>

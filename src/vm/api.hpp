@@ -1,4 +1,4 @@
-// Registry of the APIs an MVM program can invoke via the SYS instruction.
+// Table of the APIs an MVM program can invoke via the SYS instruction.
 //
 // The split between benign and sensitive ids mirrors the Windows API surface
 // static detectors key on (file/registry/network/process-manipulation

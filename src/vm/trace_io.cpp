@@ -20,7 +20,7 @@ std::string format_event(const Event& e) {
 std::string format_trace(const Trace& trace) {
   std::string out;
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    char head[16];
+    char head[24];  // a 20-digit %zu plus two spaces and the NUL
     std::snprintf(head, sizeof(head), "%3zu  ", i);
     out += head;
     out += format_event(trace[i]);

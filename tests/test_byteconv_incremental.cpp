@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "ml/byteconv.hpp"
-#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "util/rng.hpp"
 
 namespace mpass::ml {
@@ -51,11 +51,17 @@ float full(ByteConvNet& ref, const ByteBuf& buf) {
   return ref.forward(buf);
 }
 
-/// How many forwards so far took each path (ml.forward.{full,delta,cached}).
+/// How many forwards so far took each path: the summed counts of the span
+/// rows ending in that path's span, ml.byteconv.forward (full),
+/// ml.forward_delta (delta) or ml.forward_cached (cached).
 std::uint64_t served(const std::string& path) {
-  const obs::Snapshot s = obs::Registry::instance().snapshot();
-  const auto it = s.counters.find("ml.forward." + path);
-  return it == s.counters.end() ? 0 : it->second;
+  const std::string span = path == "full"    ? "ml.byteconv.forward"
+                           : path == "delta" ? "ml.forward_delta"
+                                             : "ml.forward_cached";
+  std::uint64_t n = 0;
+  for (const obs::SpanRow& r : obs::span_snapshot())
+    if (r.path == span || r.path.ends_with("/" + span)) n += r.count;
+  return n;
 }
 
 TEST(ByteConvIncremental, RandomWindowEditsBitwiseEqualAllVariants) {

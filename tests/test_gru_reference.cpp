@@ -16,6 +16,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "corpus/generator.hpp"
@@ -27,6 +28,11 @@ namespace mpass::ml {
 namespace {
 
 using util::ByteBuf;
+
+// A copied or moved GruLm would keep layer pointers into the source's
+// ParamSet, so both are deleted.
+static_assert(!std::is_move_constructible_v<ml::GruLm> &&
+              !std::is_copy_constructible_v<ml::GruLm>);
 
 /// The scalar forward, reading the weights of `lm` (ParamSet order:
 /// emb wz uz bz wr ur br wn un bn wo bo).
@@ -144,7 +150,7 @@ class GruReference : public ::testing::TestWithParam<Shape> {
   }
 
   /// A model one epoch away from its init, so no weight is a fresh draw.
-  /// (GruLm is not copyable: its layer pointers point into its ParamSet.)
+  /// (GruLm is neither copyable nor movable, hence the unique_ptr.)
   void SetUp() override {
     lm_ = std::make_unique<GruLm>(config(), 41);
     util::Rng rng(43);

@@ -295,8 +295,11 @@ TEST(Gbdt, FeatureImportanceConcentratesOnUsedFeature) {
   for (double v : importance) sum += v;
   EXPECT_NEAR(sum, 1.0, 1e-9);
   // The label-defining feature dominates the splits.
-  for (std::size_t f = 0; f < 6; ++f)
-    if (f != 2) EXPECT_GT(importance[2], importance[f]);
+  for (std::size_t f = 0; f < 6; ++f) {
+    if (f != 2) {
+      EXPECT_GT(importance[2], importance[f]);
+    }
+  }
 }
 
 TEST(Gbdt, RejectsEmptyData) {

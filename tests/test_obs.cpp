@@ -1,97 +1,24 @@
-// Tests for the observability subsystem: metrics registry (exact concurrent
-// counting, deterministic snapshot merging across thread retirement, no
-// metrics from span sites), the JSON helpers, and the JSONL trace sink
-// round-trip through the trace reader/validator that backs
-// tools/mpass_trace.
+// Tests for the observability subsystem: the JSON helpers, the span
+// snapshot a trace directory receives, and the JSONL trace sink round-trip
+// through the trace reader/validator that backs tools/mpass_trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_check.hpp"
 
 namespace mpass::obs {
 namespace {
-
-std::uint64_t counter_value(const Snapshot& s, const std::string& name) {
-  const auto it = s.counters.find(name);
-  return it == s.counters.end() ? 0 : it->second;
-}
-
-TEST(Metrics, ConcurrentIncrementsSumExactly) {
-  Registry& reg = Registry::instance();
-  const MetricId id = reg.counter("test.obs.concurrent");
-  const std::uint64_t before =
-      counter_value(reg.snapshot(), "test.obs.concurrent");
-
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kPerThread = 20000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&reg, id] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) reg.inc(id);
-    });
-  for (std::thread& t : threads) t.join();
-
-  const std::uint64_t after =
-      counter_value(reg.snapshot(), "test.obs.concurrent");
-  EXPECT_EQ(after - before, kThreads * kPerThread);
-}
-
-TEST(Metrics, SnapshotMergesRetiredThreadsDeterministically) {
-  Registry& reg = Registry::instance();
-  const MetricId id = reg.counter("test.obs.retired");
-  const std::uint64_t before =
-      counter_value(reg.snapshot(), "test.obs.retired");
-
-  // Increment from threads that exit before the snapshot: their per-thread
-  // shards retire into the core and must still be counted.
-  for (int round = 0; round < 4; ++round) {
-    std::thread t([&reg, id] { reg.inc(id, 25); });
-    t.join();
-  }
-
-  const Snapshot s1 = reg.snapshot();
-  const Snapshot s2 = reg.snapshot();
-  EXPECT_EQ(counter_value(s1, "test.obs.retired") - before, 100u);
-  // No updates between the two snapshots: byte-identical merged views.
-  EXPECT_EQ(s1.counters, s2.counters);
-  EXPECT_EQ(s1.to_json(), s2.to_json());
-}
-
-TEST(Metrics, KindMismatchThrows) {
-  Registry& reg = Registry::instance();
-  reg.counter("test.obs.kind");
-  EXPECT_THROW(reg.gauge("test.obs.kind"), std::invalid_argument);
-}
-
-TEST(Metrics, GaugeAndCallbackGaugeAppearInSnapshot) {
-  Registry& reg = Registry::instance();
-  reg.set(reg.gauge("test.obs.gauge"), 2.5);
-  reg.gauge_callback("test.obs.cbgauge", [] { return 7.0; });
-  const Snapshot s = reg.snapshot();
-  EXPECT_DOUBLE_EQ(s.gauges.at("test.obs.gauge"), 2.5);
-  EXPECT_DOUBLE_EQ(s.gauges.at("test.obs.cbgauge"), 7.0);
-}
-
-TEST(Metrics, SpanSitesRegisterNoMetric) {
-  {
-    OBS_SCOPE("test.obs.scope");
-  }
-  // Every section of the snapshot: no metric name starts with "time.".
-  const std::string json = Registry::instance().snapshot().to_json();
-  EXPECT_EQ(json.find("\"time."), std::string::npos) << json;
-}
 
 TEST(Json, LineBuilderOutputParsesBack) {
   JsonLine line;
@@ -205,40 +132,32 @@ TEST(Trace, CheckDirReconcilesQueryBudgets) {
                                      .num("avq", 6.0)
                                      .num("wall_ms", 6.0)
                                      .take());
-  write_metrics_snapshot();
-  ASSERT_TRUE(std::filesystem::exists(guard.dir / "metrics.json"));
+  write_span_snapshot();
 
   const TraceCheckReport ok = check_trace_dir(guard.dir);
   EXPECT_TRUE(ok.ok()) << ok.errors.front();
   EXPECT_EQ(ok.data.samples.size(), 2u);
   ASSERT_EQ(ok.data.cells.size(), 1u);
   EXPECT_EQ(ok.data.cells[0].total_queries, 12u);
-  EXPECT_TRUE(ok.data.has_metrics);
+  EXPECT_TRUE(ok.data.has_spans);
 
-  // metrics.json holds counters and gauges only; spans.json is versioned.
-  const auto read_json = [&](const char* file) {
-    std::ifstream in(guard.dir / file);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return Json::parse(ss.str());
-  };
-  const auto metrics = read_json("metrics.json");
-  ASSERT_TRUE(metrics.has_value());
-  EXPECT_TRUE(metrics->get("counters") && metrics->get("gauges"));
-  EXPECT_EQ(metrics->get("histograms"), nullptr);
-  const auto spans = read_json("spans.json");
+  // spans.json is versioned.
+  std::ifstream in(guard.dir / "spans.json");
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const auto spans = Json::parse(ss.str());
   ASSERT_TRUE(spans.has_value());
   ASSERT_TRUE(spans->get("schema_version"));
   EXPECT_EQ(spans->get("schema_version")->number(), 1.0);
   EXPECT_TRUE(spans->get("spans") && spans->get("spans")->is_array());
 
-  // A snapshot missing its gauges fails the check.
-  std::ofstream(guard.dir / "metrics.json", std::ios::trunc)
-      << R"({"counters":{}})";
-  const TraceCheckReport no_gauges = check_trace_dir(guard.dir);
-  EXPECT_FALSE(no_gauges.ok());
-  EXPECT_FALSE(no_gauges.data.has_metrics);
-  write_metrics_snapshot();
+  // A spans.json without its span array fails the check.
+  std::ofstream(guard.dir / "spans.json", std::ios::trunc)
+      << R"({"schema_version":1})";
+  const TraceCheckReport no_spans = check_trace_dir(guard.dir);
+  EXPECT_FALSE(no_spans.ok());
+  EXPECT_FALSE(no_spans.data.has_spans);
+  write_span_snapshot();
   EXPECT_TRUE(check_trace_dir(guard.dir).ok());
 
   // A fully-traced cell whose query totals disagree must fail the check.
@@ -255,6 +174,28 @@ TEST(Trace, CheckDirReconcilesQueryBudgets) {
                                      .take());
   const TraceCheckReport bad = check_trace_dir(guard.dir);
   EXPECT_FALSE(bad.ok());
+}
+
+TEST(Trace, SpanSnapshotWritesNoMetricsJson) {
+  TraceDirGuard guard("mpass_trace_spansnapshot");
+  {
+    OBS_SCOPE("test.obs.snapshot");
+  }
+  write_span_snapshot();
+  // Span counts are the only counts: the snapshot is spans.json alone.
+  EXPECT_FALSE(std::filesystem::exists(guard.dir / "metrics.json"));
+  std::ifstream in(guard.dir / "spans.json");
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const auto doc = Json::parse(ss.str());
+  ASSERT_TRUE(doc.has_value());
+  const auto rows = parse_spans(*doc);
+  ASSERT_TRUE(rows.has_value());
+  const auto it = std::find_if(rows->begin(), rows->end(), [](const auto& r) {
+    return r.path == "test.obs.snapshot";
+  });
+  ASSERT_NE(it, rows->end());
+  EXPECT_GE(it->count, 1u);
 }
 
 TEST(Trace, CheckDirReconcilesAvq) {

@@ -4,6 +4,8 @@
 //   mpass_prof tree <file>               call-path tree with % of parent
 //   mpass_prof export <file> <out.json>  synthetic aggregate flame as
 //                                        Chrome trace-event JSON (Perfetto)
+//   mpass_prof diff <a> <b>              per-path count and total-ms of two
+//                                        span documents, changed rows only
 //   mpass_prof collect <dir> [--out F] [--expect a,b,c]
 //                                        merge BENCH_*.json into a
 //                                        schema-versioned BENCH_SUMMARY.json;
@@ -21,15 +23,17 @@
 //                                        series (the enforcing CI micro gate
 //                                        uses both; spans stay warn-only)
 //
-// <file> accepts a spans.json, a BENCH_<name>.json, or a BENCH_SUMMARY.json
-// (compare only). Exit codes: 0 pass, 1 regression/collect failure, 2 usage
-// or parse error.
+// <file>, <a> and <b> accept a spans.json or a BENCH_<name>.json; compare
+// also accepts a BENCH_SUMMARY.json. Exit codes: 0 pass, 1 regression/collect
+// failure, 2 usage or parse error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -46,6 +50,7 @@ int usage() {
       "usage: mpass_prof top <spans.json|BENCH_*.json> [-n N]\n"
       "       mpass_prof tree <spans.json|BENCH_*.json>\n"
       "       mpass_prof export <spans.json|BENCH_*.json> <out.json>\n"
+      "       mpass_prof diff <a> <b>\n"
       "       mpass_prof collect <bench-dir> [--out FILE] [--expect a,b,c]\n"
       "       mpass_prof compare <baseline> <current> [--threshold 0.20]\n"
       "                  [--min-ms 10] [--warn-only] [--only <bench>]\n"
@@ -123,6 +128,34 @@ int cmd_export(int argc, char** argv) {
   return 0;
 }
 
+int cmd_diff(int argc, char** argv) {
+  if (argc < 4) return usage();
+  const auto a = load_spans(argv[2]);
+  const auto b = load_spans(argv[3]);
+  if (!a || !b) return 2;
+  // Per path: the row in a, the row in b (zero when absent on one side).
+  std::map<std::string, std::pair<mpass::obs::SpanProfileRow,
+                                  mpass::obs::SpanProfileRow>>
+      paths;
+  for (const auto& r : *a) paths[r.path].first = r;
+  for (const auto& r : *b) paths[r.path].second = r;
+
+  std::printf("%10s %10s %12s %12s %12s  %s\n", "count-a", "count-b",
+              "total-ms-a", "total-ms-b", "delta-ms", "path");
+  std::size_t changed = 0;
+  for (const auto& [path, ab] : paths) {
+    const auto& [ra, rb] = ab;
+    if (ra.count == rb.count && ra.total_ms == rb.total_ms) continue;
+    ++changed;
+    std::printf("%10llu %10llu %12.3f %12.3f %+12.3f  %s\n",
+                static_cast<unsigned long long>(ra.count),
+                static_cast<unsigned long long>(rb.count), ra.total_ms,
+                rb.total_ms, rb.total_ms - ra.total_ms, path.c_str());
+  }
+  std::printf("%zu span paths differ (of %zu)\n", changed, paths.size());
+  return 0;
+}
+
 int cmd_collect(int argc, char** argv) {
   const std::filesystem::path dir = argv[2];
   std::vector<std::string> expected;
@@ -194,6 +227,7 @@ int main(int argc, char** argv) {
   if (cmd == "top") return cmd_top(argc, argv);
   if (cmd == "tree") return cmd_tree(argc, argv);
   if (cmd == "export") return cmd_export(argc, argv);
+  if (cmd == "diff") return cmd_diff(argc, argv);
   if (cmd == "collect") return cmd_collect(argc, argv);
   if (cmd == "compare") return cmd_compare(argc, argv);
   return usage();
