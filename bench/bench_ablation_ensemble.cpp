@@ -4,7 +4,7 @@
 // literal setup), and SOTA + attacker-trained surrogates (this repo's
 // default).
 #include "bench_common.hpp"
-#include "attack/mpass_attack.hpp"
+#include "attack/mpass.hpp"
 
 int main() {
   using namespace mpass;
@@ -30,8 +30,7 @@ int main() {
   util::Table table("Ablation: known-model ensemble vs MPass ASR on MalConv");
   table.header({"Known ensemble", "ASR (%)", "AVQ", "functional (%)"});
   for (const Variant& v : variants) {
-    attack::MpassAttack atk("MPass", attack::MpassAttack::default_config(),
-                            zoo.benign_pool(), v.nets);
+    attack::Mpass atk("MPass", {}, zoo.benign_pool(), v.nets);
     const harness::CellStats stats =
         harness::run_cell(atk, target, samples, samples, cfg);
     report.add_cells({stats});

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "attack/mab.hpp"
-#include "attack/mpass_attack.hpp"
+#include "attack/mpass.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/zoo.hpp"
 #include "vm/sandbox.hpp"
@@ -20,9 +20,8 @@ int main() {
               std::string(av.name()).c_str(), av.signatures().size(),
               av.threshold());
 
-  attack::MpassAttack mpass("MPass", attack::MpassAttack::default_config(),
-                            zoo.benign_pool(),
-                            zoo.known_nets_excluding("none"));
+  attack::Mpass mpass("MPass", {}, zoo.benign_pool(),
+                      zoo.known_nets_excluding("none"));
   attack::Mab mab({}, zoo.benign_pool());
 
   std::vector<util::ByteBuf> mpass_aes, mab_aes;

@@ -10,7 +10,7 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "core/mpass.hpp"
+#include "attack/mpass.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/zoo.hpp"
 #include "vm/sandbox.hpp"
@@ -39,17 +39,19 @@ int main() {
               target.is_malicious(original) ? "DETECTED" : "missed");
 
   // 3. MPass with the remaining differentiable models as the known ensemble.
-  core::Mpass attack({}, zoo.benign_pool(),
-                     zoo.known_nets_excluding(target.name()));
+  attack::Mpass mpass("MPass", {}, zoo.benign_pool(),
+                      zoo.known_nets_excluding(target.name()));
   detect::HardLabelOracle oracle(target, /*max_queries=*/100);
-  const core::MpassResult result = attack.run(original, oracle, /*seed=*/7);
-  std::printf("attack: success=%d queries=%zu APR=%.0f%%\n", result.success,
-              oracle.queries(), 100.0 * result.apr);
+  const attack::AttackResult result = mpass.run(original, oracle, /*seed=*/7);
+  std::printf("attack: success=%d queries=%zu\n", result.success,
+              oracle.queries());
 
   // 4. The AE must evade *and* behave identically.
   if (result.success) {
-    std::printf("AE score on target: %.3f (below threshold)\n",
-                target.score(result.adversarial));
+    std::printf("AE score on target: %.3f (below threshold), APR=%.0f%%\n",
+                target.score(result.adversarial),
+                100.0 * attack::apr_of(original.size(),
+                                       result.adversarial.size()));
     const bool preserved =
         sandbox.functionality_preserved(original, result.adversarial);
     std::printf("functionality preserved (identical behavior trace): %s\n",

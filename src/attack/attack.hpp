@@ -10,10 +10,13 @@
 
 namespace mpass::attack {
 
+// What an attack returns. The harness derives every paper metric from it
+// and from the oracle: AVQ from the oracle's first benign verdict, APR from
+// the AE's size (apr_of), functionality from a sandbox run of the AE.
 struct AttackResult {
+  // True only when the oracle answered benign to `adversarial`.
   bool success = false;
-  util::ByteBuf adversarial;  // best-effort output even on failure
-  double apr = 0.0;  // (|adv| - |orig|) / |orig|
+  util::ByteBuf adversarial;  // the AE; defined only when success is true
 };
 
 class Attack {
@@ -36,7 +39,7 @@ class Attack {
   virtual std::unique_ptr<Attack> clone() const = 0;
 };
 
-/// Computes APR for a result.
+/// APR of an AE: (|adv| - |orig|) / |orig|, 0 for an empty original.
 double apr_of(std::size_t original_size, std::size_t adversarial_size);
 
 }  // namespace mpass::attack

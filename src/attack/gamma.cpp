@@ -46,7 +46,6 @@ AttackResult Gamma::run(std::span<const std::uint8_t> malware,
                         detect::HardLabelOracle& oracle, std::uint64_t seed) {
   util::Rng rng(seed);
   AttackResult result;
-  result.adversarial.assign(malware.begin(), malware.end());
 
   // Parse the base malware once; every genome expression copies the parsed
   // structure instead of re-parsing the same bytes per query.
@@ -56,7 +55,6 @@ AttackResult Gamma::run(std::span<const std::uint8_t> malware,
   } catch (const util::ParseError&) {
     // Unparseable input: no genome could ever be expressed, so spend no
     // queries (the old per-express parse failed identically every time).
-    result.apr = apr_of(malware.size(), result.adversarial.size());
     return result;
   }
 
@@ -126,8 +124,6 @@ AttackResult Gamma::run(std::span<const std::uint8_t> malware,
       if (better(population[worst], population[i])) worst = i;
     if (better(scored, population[worst])) population[worst] = std::move(scored);
   }
-
-  result.apr = apr_of(malware.size(), result.adversarial.size());
   return result;
 }
 

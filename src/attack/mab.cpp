@@ -36,7 +36,6 @@ AttackResult Mab::run(std::span<const std::uint8_t> malware,
                       detect::HardLabelOracle& oracle, std::uint64_t seed) {
   util::Rng rng(seed);
   AttackResult result;
-  result.adversarial.assign(malware.begin(), malware.end());
 
   while (!oracle.exhausted()) {
     ByteBuf current(malware.begin(), malware.end());
@@ -96,11 +95,9 @@ AttackResult Mab::run(std::span<const std::uint8_t> malware,
           }
         }
       }
-      result.apr = apr_of(malware.size(), result.adversarial.size());
       return result;
     }
   }
-  result.apr = apr_of(malware.size(), result.adversarial.size());
   return result;
 }
 

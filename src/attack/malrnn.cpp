@@ -10,14 +10,11 @@ AttackResult MalRnn::run(std::span<const std::uint8_t> malware,
                          detect::HardLabelOracle& oracle,
                          std::uint64_t seed) {
   util::Rng rng(seed);
-  AttackResult result;
-  result.adversarial.assign(malware.begin(), malware.end());
-
   pe::PeFile pe;
   try {
     pe = pe::PeFile::parse(malware);
   } catch (const util::ParseError&) {
-    return result;
+    return {};
   }
 
   const std::size_t original_overlay = pe.overlay.size();
@@ -39,19 +36,12 @@ AttackResult MalRnn::run(std::span<const std::uint8_t> malware,
     appended += generated.size();
 
     ByteBuf sample = pe.build();
-    const bool detected = oracle.query(sample);
-    if (!detected) {
-      result.success = true;
-      result.adversarial = std::move(sample);
-      break;
-    }
+    if (!oracle.query(sample)) return {true, std::move(sample)};
     chunk = std::min(cfg_.max_chunk,
                      static_cast<std::size_t>(static_cast<double>(chunk) *
                                               cfg_.growth));
-    result.adversarial = std::move(sample);
   }
-  result.apr = apr_of(malware.size(), result.adversarial.size());
-  return result;
+  return {};
 }
 
 }  // namespace mpass::attack

@@ -1,11 +1,14 @@
-#include "core/mpass.hpp"
+#include "attack/mpass.hpp"
 
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 
-namespace mpass::core {
+namespace mpass::attack {
 
 namespace {
+
+using core::ModifiedSample;
+using core::TargetMode;
 
 const char* target_mode_name(TargetMode m) {
   switch (m) {
@@ -39,20 +42,21 @@ void trace_donor(const MpassConfig& cfg, const ModifiedSample& mod,
 
 using util::ByteBuf;
 
-Mpass::Mpass(MpassConfig cfg, std::span<const ByteBuf> benign_pool,
-             std::vector<ml::ByteConvNet*> known)
-    : cfg_(std::move(cfg)),
-      pool_(benign_pool.begin(), benign_pool.end()),
-      known_(std::move(known)) {
+Mpass::Mpass(std::string name, MpassConfig cfg,
+             std::span<const ByteBuf> benign_pool,
+             std::span<ml::ByteConvNet* const> known)
+    : name_(std::move(name)),
+      cfg_(std::move(cfg)),
+      pool_(benign_pool.begin(), benign_pool.end()) {
   if (pool_.empty()) pool_.emplace_back();  // degenerate zero-donor
+  known_.reserve(known.size());
+  for (const ml::ByteConvNet* n : known) known_.emplace_back(*n);
 }
 
-MpassResult Mpass::run(std::span<const std::uint8_t> malware,
-                       detect::HardLabelOracle& oracle,
-                       std::uint64_t seed) const {
+AttackResult Mpass::run(std::span<const std::uint8_t> malware,
+                        detect::HardLabelOracle& oracle, std::uint64_t seed) {
   OBS_SCOPE("attack.mpass.run");
   util::Rng rng(seed);
-  MpassResult result;
   // Ensemble-loss trace: one "opt" event per optimizer step, numbered
   // monotonically across donors so the inspector can plot one loss curve
   // per sample.
@@ -64,8 +68,12 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
 
   const bool can_optimize =
       cfg_.optimize && !known_.empty() && !cfg_.random_content;
-  std::unique_ptr<EnsembleOptimizer> opt;
-  if (can_optimize) opt = std::make_unique<EnsembleOptimizer>(known_);
+  std::unique_ptr<core::EnsembleOptimizer> opt;
+  if (can_optimize) {
+    std::vector<ml::ByteConvNet*> nets;
+    for (ml::ByteConvNet& n : known_) nets.push_back(&n);
+    opt = std::make_unique<core::EnsembleOptimizer>(std::move(nets));
+  }
 
   while (!oracle.exhausted()) {
     // (1) Initial perturbation from a random benign program + recovery.
@@ -80,9 +88,10 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
       const ByteBuf& donor = pool_[rng.below(pool_.size())];
       ModifiedSample candidate;
       try {
-        candidate = apply_modification(malware, donor, cfg_.modification, rng);
+        candidate =
+            core::apply_modification(malware, donor, cfg_.modification, rng);
       } catch (const util::ParseError&) {
-        return result;  // not a modifiable PE
+        return {};  // not a modifiable PE
       }
       const float score =
           can_optimize ? opt->ensemble_score(candidate.bytes) : 0.0f;
@@ -112,12 +121,7 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
         trace_opt(opt->step(mod));
     }
 
-    result.adversarial = mod.bytes;
-    result.apr = mod.apr;
-    if (!oracle.query(mod.bytes)) {
-      result.success = true;
-      break;
-    }
+    if (!oracle.query(mod.bytes)) return {true, std::move(mod.bytes)};
 
     if (!can_optimize) {
       // Random-content mode: fresh randomization per query; otherwise a new
@@ -128,13 +132,9 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
         if (obs::tracing())
           obs::Event("action").str("kind", "randomize").uint(
               "bytes", mod.perturbable.size());
-        if (!oracle.query(mod.bytes)) {
-          result.success = true;
-          result.adversarial = mod.bytes;
-          break;
-        }
+        if (!oracle.query(mod.bytes)) return {true, std::move(mod.bytes)};
       }
-      break;
+      return {};
     }
 
     // (3) Keep optimizing on the ensemble, querying periodically.
@@ -153,12 +153,7 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
         loss = opt->step(mod);
         trace_opt(loss);
       }
-      if (!oracle.query(mod.bytes)) {
-        result.success = true;
-        result.adversarial = mod.bytes;
-        result.apr = mod.apr;
-        break;
-      }
+      if (!oracle.query(mod.bytes)) return {true, std::move(mod.bytes)};
       ++donor_queries;
       // Loss plateau: this donor's basin is exhausted; re-initialize.
       if (loss >= prev_loss - 1e-4f) {
@@ -168,10 +163,8 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
       }
       prev_loss = loss;
     }
-    if (result.success) break;
   }
-
-  return result;
+  return {};
 }
 
-}  // namespace mpass::core
+}  // namespace mpass::attack

@@ -6,15 +6,18 @@
 // re-query; re-initialize with a fresh donor if a donor stalls; stop at
 // success or query exhaustion. Every AE is function-preserving by
 // construction (runtime recovery + key co-updates).
+//
+// The §V ablations (Other-sec, Random-data, no-shuffle) are configurations
+// of this one attack; harness::make_attack names them.
 #pragma once
 
+#include "attack/attack.hpp"
 #include "core/optimizer.hpp"
-#include "detectors/detector.hpp"
 
-namespace mpass::core {
+namespace mpass::attack {
 
 struct MpassConfig {
-  ModificationConfig modification;
+  core::ModificationConfig modification;
   int opt_steps_per_query = 2;   // ensemble steps between target queries
   int queries_per_donor = 8;     // re-roll the donor after this many misses
   // Only spend a query once the ensemble consensus is at most this
@@ -26,34 +29,33 @@ struct MpassConfig {
   bool random_content = false;   // Table VI ablation: random bytes at I
 };
 
-struct MpassResult {
-  bool success = false;
-  util::ByteBuf adversarial;   // best-effort sample even on failure
-  double apr = 0.0;
-};
-
-class Mpass {
+class Mpass : public Attack {
  public:
   /// benign_pool: attacker-harvested benign programs (donors).
-  /// known: differentiable known models (empty => no optimization).
-  Mpass(MpassConfig cfg, std::span<const util::ByteBuf> benign_pool,
-        std::vector<ml::ByteConvNet*> known);
+  /// known: differentiable known models (empty => no optimization). The
+  /// attack deep-copies them, so its ensemble optimization never shares
+  /// forward caches with the source nets or with another instance.
+  Mpass(std::string name, MpassConfig cfg,
+        std::span<const util::ByteBuf> benign_pool,
+        std::span<ml::ByteConvNet* const> known);
 
-  /// Attacks one malware sample through the hard-label oracle.
-  MpassResult run(std::span<const std::uint8_t> malware,
-                  detect::HardLabelOracle& oracle, std::uint64_t seed) const;
+  std::string_view name() const override { return name_; }
 
-  const MpassConfig& config() const { return cfg_; }
+  AttackResult run(std::span<const std::uint8_t> malware,
+                   detect::HardLabelOracle& oracle,
+                   std::uint64_t seed) override;
 
-  /// Attacker assets, exposed so adapters can deep-copy an attack
-  /// (MpassAttack::clone re-clones the known models from these).
-  std::span<const util::ByteBuf> pool() const { return pool_; }
-  std::span<ml::ByteConvNet* const> known() const { return known_; }
+  /// Copies the donor pool and the known nets: a clone is safe to run on
+  /// another thread.
+  std::unique_ptr<Attack> clone() const override {
+    return std::make_unique<Mpass>(*this);
+  }
 
  private:
+  std::string name_;
   MpassConfig cfg_;
   std::vector<util::ByteBuf> pool_;
-  std::vector<ml::ByteConvNet*> known_;
+  std::vector<ml::ByteConvNet> known_;
 };
 
-}  // namespace mpass::core
+}  // namespace mpass::attack

@@ -5,14 +5,9 @@ namespace mpass::attack {
 AttackResult ObfuscateAttack::run(std::span<const std::uint8_t> malware,
                                   detect::HardLabelOracle& oracle,
                                   std::uint64_t seed) {
-  AttackResult result;
-  result.adversarial.assign(malware.begin(), malware.end());
   auto packed = pack::pack(kind_, malware, {seed});
-  if (!packed) return result;
-  result.adversarial = std::move(*packed);
-  result.apr = apr_of(malware.size(), result.adversarial.size());
-  result.success = !oracle.query(result.adversarial);
-  return result;
+  if (!packed || oracle.query(*packed)) return {};
+  return {true, std::move(*packed)};
 }
 
 }  // namespace mpass::attack

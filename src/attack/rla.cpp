@@ -23,9 +23,6 @@ std::size_t Rla::choose(std::uint64_t state, util::Rng& rng) {
 AttackResult Rla::run(std::span<const std::uint8_t> malware,
                       detect::HardLabelOracle& oracle, std::uint64_t seed) {
   util::Rng rng(seed);
-  AttackResult result;
-  result.adversarial.assign(malware.begin(), malware.end());
-
   while (!oracle.exhausted()) {
     // One episode: mutate from the pristine sample.
     ByteBuf current(malware.begin(), malware.end());
@@ -51,16 +48,10 @@ AttackResult Rla::run(std::span<const std::uint8_t> malware,
           cfg_.alpha * (reward + cfg_.gamma * next_max - q(state, a));
       state = next;
 
-      if (!detected) {
-        result.success = true;
-        result.adversarial = current;
-        result.apr = apr_of(malware.size(), current.size());
-        return result;
-      }
+      if (!detected) return {true, std::move(current)};
     }
   }
-  result.apr = apr_of(malware.size(), result.adversarial.size());
-  return result;
+  return {};
 }
 
 }  // namespace mpass::attack

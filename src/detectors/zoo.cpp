@@ -7,6 +7,7 @@
 #include "obs/log.hpp"
 #include "obs/span.hpp"
 #include "pack/packer.hpp"
+#include "util/env.hpp"
 #include "util/hashing.hpp"
 #include "util/threadpool.hpp"
 
@@ -18,9 +19,7 @@ namespace {
 constexpr std::uint64_t kZooCacheVersion = 10;
 
 std::size_t env_size(const char* name, std::size_t fallback) {
-  if (const char* v = std::getenv(name); v && *v)
-    return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-  return fallback;
+  return static_cast<std::size_t>(util::env_u64(name, fallback));
 }
 
 /// Runs `tasks` on the shared pool and `here` on the calling thread, then

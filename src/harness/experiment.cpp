@@ -4,17 +4,19 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "attack/gamma.hpp"
 #include "attack/mab.hpp"
 #include "attack/malrnn.hpp"
-#include "attack/mpass_attack.hpp"
+#include "attack/mpass.hpp"
 #include "attack/obfuscate.hpp"
 #include "attack/rla.hpp"
 #include "corpus/generator.hpp"
 #include "obs/log.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "util/env.hpp"
 #include "util/hashing.hpp"
 #include "util/serialize.hpp"
 
@@ -24,12 +26,9 @@ using util::ByteBuf;
 
 ExperimentConfig ExperimentConfig::from_env() {
   ExperimentConfig cfg;
-  if (const char* v = std::getenv("MPASS_N"); v && *v)
-    cfg.n_samples = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-  if (const char* v = std::getenv("MPASS_MAX_QUERIES"); v && *v)
-    cfg.max_queries = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-  if (const char* v = std::getenv("MPASS_EXP_SEED"); v && *v)
-    cfg.seed = std::strtoull(v, nullptr, 10);
+  cfg.n_samples = util::env_u64("MPASS_N", cfg.n_samples);
+  cfg.max_queries = util::env_u64("MPASS_MAX_QUERIES", cfg.max_queries);
+  cfg.seed = util::env_u64("MPASS_EXP_SEED", cfg.seed);
   if (std::getenv("MPASS_NO_CACHE")) cfg.use_cache = false;
   return cfg;
 }
@@ -49,7 +48,7 @@ std::vector<ByteBuf> make_attack_set(
     std::uint64_t seed) {
   std::vector<ByteBuf> out;
   std::size_t i = 0;
-  while (out.size() < n && i < n * 40) {
+  while (out.size() < n && i / 40 < n) {  // i < 40n without overflow
     corpus::CompiledSample s =
         corpus::make_malware(util::hash_combine(seed, 0xA11ACC + i));
     ++i;
@@ -154,9 +153,14 @@ SampleOutcome attack_one(attack::Attack& atk, const detect::Detector& target,
   SampleOutcome out;
   out.total_queries = oracle.queries();
   if (r.success) {
+    // Success means the oracle answered benign to the AE, so an attack
+    // claiming it without a benign verdict would add 0 to AVQ.
+    if (oracle.first_benign() == 0)
+      throw std::logic_error(std::string(atk.name()) +
+                             " reported success without a benign verdict");
     out.success = true;
     out.first_benign = oracle.first_benign();
-    out.apr = r.apr;
+    out.apr = attack::apr_of(sample.size(), r.adversarial.size());
     // Paper §IV-A: verify AEs still show the original runtime behavior.
     if (sandbox.functionality_preserved(orig, r.adversarial)) {
       out.functional = true;
@@ -234,9 +238,7 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
   }
   // Collect in sample order (tasks complete in any order; the aggregate
   // below is order-deterministic regardless).
-  std::vector<SampleOutcome> outcomes(samples.size());
-  for (std::size_t i = 0; i < futs.size(); ++i)
-    outcomes[i] = tp.wait(std::move(futs[i]));
+  std::vector<SampleOutcome> outcomes = tp.wait_all(std::move(futs));
 
   double sum_q = 0.0, sum_apr = 0.0;
   std::size_t functional = 0, fresh = 0;
@@ -293,30 +295,26 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
 std::unique_ptr<attack::Attack> make_attack(std::string_view name,
                                             detect::ModelZoo& zoo,
                                             std::string_view target_name) {
-  // MPass variants clone the known models so concurrent grid cells never
-  // share forward-pass caches.
-  const attack::MpassAttack::CloneTag clone;
-  if (name == "MPass") {
-    const auto known = zoo.known_nets_excluding(target_name);
-    return std::make_unique<attack::MpassAttack>(
-        "MPass", attack::MpassAttack::default_config(), zoo.benign_pool(),
-        known, clone);
-  }
-  if (name == "Other-sec") {
-    const auto known = zoo.known_nets_excluding(target_name);
-    return std::make_unique<attack::MpassAttack>(
-        "Other-sec", attack::MpassAttack::other_sec_config(),
-        zoo.benign_pool(), known, clone);
-  }
-  if (name == "Random-data")
-    return std::make_unique<attack::MpassAttack>(
-        "Random-data", attack::MpassAttack::random_data_config(),
-        zoo.benign_pool(), std::vector<ml::ByteConvNet*>{});
-  if (name == "MPass-noshuffle") {
-    const auto known = zoo.known_nets_excluding(target_name);
-    return std::make_unique<attack::MpassAttack>(
-        "MPass-noshuffle", attack::MpassAttack::no_shuffle_config(),
-        zoo.benign_pool(), known, clone);
+  // MPass and its §V ablations. Each instance owns copies of the known
+  // models, so concurrent grid cells never share forward-pass caches.
+  if (name == "MPass" || name == "Other-sec" || name == "Random-data" ||
+      name == "MPass-noshuffle") {
+    attack::MpassConfig cfg;
+    std::vector<ml::ByteConvNet*> known;
+    if (name == "Random-data") {
+      // Table VI: random bytes at the same positions, no optimization.
+      cfg.random_content = true;
+      cfg.optimize = false;
+    } else {
+      known = zoo.known_nets_excluding(target_name);
+    }
+    // Table V: modify every section *except* code/data.
+    if (name == "Other-sec")
+      cfg.modification.targets = core::TargetMode::OtherSec;
+    // Fig. 4: shuffle strategy disabled.
+    if (name == "MPass-noshuffle") cfg.modification.stub.shuffle = false;
+    return std::make_unique<attack::Mpass>(std::string(name), cfg,
+                                           zoo.benign_pool(), known);
   }
   if (name == "RLA")
     return std::make_unique<attack::Rla>(attack::RlaConfig{},
@@ -398,17 +396,13 @@ std::vector<CellStats> run_grid(std::string_view key,
                         cfg, &tp);
       }));
 
-  std::vector<CellStats> cells;
-  cells.reserve(futs.size());
-  for (std::future<CellStats>& fut : futs) {
-    cells.push_back(tp.wait(std::move(fut)));
-    const CellStats& c = cells.back();
+  std::vector<CellStats> cells = tp.wait_all(std::move(futs));
+  for (const CellStats& c : cells)
     obs::logf(obs::LogLevel::Info,
               "[%s] %s vs %s: ASR %.1f%% AVQ %.1f APR %.0f%% "
               "(%.0f ms, %.0f q/s)",
               std::string(key).c_str(), c.attack.c_str(), c.target.c_str(),
               c.asr, c.avq, c.apr, c.wall_ms, c.qps);
-  }
   obs::write_span_snapshot();
   return cells;
 }

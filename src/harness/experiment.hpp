@@ -73,7 +73,9 @@ std::vector<util::ByteBuf> make_attack_set(
 /// are sharded under (config digest, attack, target, sample digest), so
 /// interrupted runs resume and a grid re-aggregates from its shards without
 /// re-attacking. A sample's AVQ input is its oracle's first benign query
-/// index; the attack reports no query count of its own.
+/// index and its APR is attack::apr_of(sample, AE) -- the attack reports
+/// neither. An attack that reports success without a benign verdict is a
+/// bug: run_cell throws std::logic_error naming it.
 CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
                    std::span<const util::ByteBuf> samples,
                    std::span<const util::ByteBuf> originals_for_sandbox,

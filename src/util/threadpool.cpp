@@ -1,9 +1,10 @@
 #include "util/threadpool.hpp"
 
-#include <cstdlib>
 #include <string>
 
+#include "obs/log.hpp"
 #include "obs/span.hpp"
+#include "util/env.hpp"
 
 namespace mpass::util {
 
@@ -40,12 +41,14 @@ ThreadPool& ThreadPool::instance() {
 }
 
 std::size_t ThreadPool::env_threads() {
-  if (const char* v = std::getenv("MPASS_THREADS"); v && *v) {
-    const unsigned long long n = std::strtoull(v, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
+  const std::size_t fallback = hw > 0 ? hw : 1;
+  const std::uint64_t n = env_u64("MPASS_THREADS", fallback);
+  if (n == 0) return fallback;
+  if (n <= kMaxEnvThreads) return static_cast<std::size_t>(n);
+  obs::logf(obs::LogLevel::Warn, "MPASS_THREADS=%llu capped at %zu",
+            static_cast<unsigned long long>(n), kMaxEnvThreads);
+  return kMaxEnvThreads;
 }
 
 void ThreadPool::push(std::function<void()> task) {

@@ -13,9 +13,10 @@
 // the injector and the other workers FIFO (oldest work first). Results and
 // exceptions travel through std::future via std::packaged_task.
 //
-// Pool size: ThreadPool::instance() honors MPASS_THREADS, defaulting to
-// std::thread::hardware_concurrency(). The shared pool is created on first
-// use, so a process that only loads cached models starts no threads.
+// Pool size: ThreadPool::instance() honors MPASS_THREADS (capped at
+// kMaxEnvThreads), defaulting to std::thread::hardware_concurrency(). The
+// shared pool is created on first use, so a process that only loads cached
+// models starts no threads.
 //
 // Observability: span context (obs/span.hpp) propagates across submit():
 // each task executes under a "pool.task" span parented at the submitting
@@ -27,6 +28,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -51,7 +53,11 @@ class ThreadPool {
   /// Process-wide pool sized by MPASS_THREADS (default: hardware threads).
   static ThreadPool& instance();
 
-  /// MPASS_THREADS if set and positive, else hardware_concurrency (>= 1).
+  /// Upper bound on MPASS_THREADS; larger values are clamped to it.
+  static constexpr std::size_t kMaxEnvThreads = 256;
+
+  /// MPASS_THREADS if set and positive (at most kMaxEnvThreads), else
+  /// hardware_concurrency (>= 1). Malformed values warn and use the default.
   static std::size_t env_threads();
 
   std::size_t size() const { return workers_.size(); }
@@ -82,6 +88,24 @@ class ThreadPool {
         fut.wait_for(std::chrono::milliseconds(1));
     }
     return fut.get();
+  }
+
+  /// Waits for every future -- also after one throws, since tasks usually
+  /// reference the caller's frame -- then returns the results in order or
+  /// rethrows the first error.
+  template <typename T>
+  std::vector<T> wait_all(std::vector<std::future<T>> futs) {
+    std::vector<T> out(futs.size());
+    std::exception_ptr error;
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+      try {
+        out[i] = wait(std::move(futs[i]));
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
+    return out;
   }
 
  private:

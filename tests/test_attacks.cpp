@@ -138,7 +138,6 @@ TEST(Baselines, MabBeatsSizeDetector) {
   const AttackResult r = mab.run(sample, oracle, 3);
   EXPECT_TRUE(r.success);
   EXPECT_GE(r.adversarial.size(), sample.size() + 4096);
-  EXPECT_GT(r.apr, 0.0);
   // The oracle is the only query counter: its first benign verdict is the
   // sample's AVQ input, and minimization queries may follow it.
   EXPECT_GE(oracle.first_benign(), 1u);

@@ -5,7 +5,7 @@
 #include <bit>
 #include <type_traits>
 
-#include "core/mpass.hpp"
+#include "attack/mpass.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/models.hpp"
 #include "detectors/training.hpp"
@@ -337,12 +337,13 @@ TEST_F(TinyNetFixture, WhiteBoxAttackSucceeds) {
   // Known model == target: MPass must bypass within the budget on a sample
   // the detector flags.
   std::vector<ByteBuf> pool = {donor_bytes(1), donor_bytes(2)};
-  Mpass attack({}, pool, {&det_->net()});
+  ml::ByteConvNet* const known[] = {&det_->net()};
+  attack::Mpass mpass("MPass", {}, pool, known);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const ByteBuf sample = corpus::make_malware(7100 + seed).bytes();
     if (!det_->is_malicious(sample)) continue;
     detect::HardLabelOracle oracle(*det_, 100);
-    const MpassResult r = attack.run(sample, oracle, 5);
+    const attack::AttackResult r = mpass.run(sample, oracle, 5);
     EXPECT_TRUE(r.success);
     EXPECT_GE(oracle.queries(), 1u);
     if (r.success) {
@@ -372,13 +373,13 @@ TEST(Mpass, RandomContentModeQueriesUntilBudget) {
   };
   Always det;
   std::vector<ByteBuf> pool = {donor_bytes(3)};
-  MpassConfig cfg;
+  attack::MpassConfig cfg;
   cfg.random_content = true;
   cfg.optimize = false;
-  Mpass attack(cfg, pool, {});
+  attack::Mpass mpass("Random-data", cfg, pool, {});
   detect::HardLabelOracle oracle(det, 10);
   const ByteBuf sample = corpus::make_malware(4242).bytes();
-  const MpassResult r = attack.run(sample, oracle, 1);
+  const attack::AttackResult r = mpass.run(sample, oracle, 1);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(oracle.queries(), 10u);
 }

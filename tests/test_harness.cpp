@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
+#include <stdexcept>
 #include <unistd.h>
 
 #include "harness/experiment.hpp"
@@ -52,7 +53,6 @@ class Scripted : public attack::Attack {
       r.success = !oracle.query(r.adversarial);
       oracle.query(r.adversarial);
     }
-    r.apr = 0.5;
     return r;
   }
   std::unique_ptr<attack::Attack> clone() const override {
@@ -90,11 +90,47 @@ TEST(Harness, RunCellComputesMetrics) {
   // in total_queries.
   EXPECT_DOUBLE_EQ(stats.avq, 2.0);
   EXPECT_EQ(stats.total_queries, 3u * 3u + 3u * 1u);
-  EXPECT_DOUBLE_EQ(stats.apr, 50.0);
+  // APR comes from the AE sizes: every win is padded to kBenignSize.
+  double sum_apr = 0.0;
+  for (const ByteBuf& s : samples)
+    if (s.back() == 1) sum_apr += attack::apr_of(s.size(), kBenignSize);
+  EXPECT_DOUBLE_EQ(stats.apr, 100.0 * sum_apr / 3.0);
   // Padding lands in the overlay, so functionality is preserved.
   EXPECT_DOUBLE_EQ(stats.functional, 100.0);
   EXPECT_EQ(stats.aes.size(), 3u);
   EXPECT_EQ(*atk.runs, 6);
+}
+
+/// Reports success although the oracle flagged its only query.
+class ClaimsSuccess : public attack::Attack {
+ public:
+  std::string_view name() const override { return "claims-success"; }
+  attack::AttackResult run(std::span<const std::uint8_t> malware,
+                           detect::HardLabelOracle& oracle,
+                           std::uint64_t) override {
+    oracle.query(malware);
+    return {true, ByteBuf(malware.begin(), malware.end())};
+  }
+  std::unique_ptr<attack::Attack> clone() const override {
+    return std::make_unique<ClaimsSuccess>(*this);
+  }
+};
+
+TEST(Harness, RunCellRejectsSuccessWithoutBenignVerdict) {
+  // Counting such a sample would add 0 to AVQ and its APR to the mean.
+  const SizeDetector det(kBenignSize);
+  ClaimsSuccess atk;
+  const std::vector<ByteBuf> samples = scripted_samples();
+  ExperimentConfig cfg;
+  cfg.max_queries = 10;
+  cfg.use_cache = false;
+  try {
+    run_cell(atk, det, samples, samples, cfg);
+    FAIL() << "run_cell accepted a success without a benign verdict";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("claims-success"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Harness, MakeAttackSetOnlyReturnsDetectedSamples) {

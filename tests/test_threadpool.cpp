@@ -1,7 +1,8 @@
 // Tests for the work-stealing thread pool and the parallel harness built on
-// it: task completion, exception propagation, nested submission (waiters
-// help drain the pool), and the key contract of the per-sample parallel
-// run_cell -- identical CellStats at 1 thread and at N threads.
+// it: task completion, exception propagation (wait_all drains every task
+// first), nested submission (waiters help drain the pool), and the key
+// contract of the per-sample parallel run_cell -- identical CellStats at 1
+// thread and at N threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -38,6 +39,26 @@ TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
   EXPECT_THROW(pool.wait(std::move(bad)), std::runtime_error);
   // The worker that ran the throwing task stays alive and usable.
   EXPECT_EQ(pool.wait(pool.submit([] { return 7; })), 7);
+}
+
+TEST(ThreadPool, WaitAllFinishesEveryTaskBeforeRethrowing) {
+  // Tasks typically reference the waiter's frame, so wait_all must not
+  // return while any of them can still run.
+  util::ThreadPool pool(1);
+  std::atomic<int> done{0};
+  std::vector<std::future<int>> futs;
+  futs.push_back(pool.submit([]() -> int { throw std::runtime_error("x"); }));
+  for (int i = 0; i < 20; ++i)
+    futs.push_back(pool.submit([&done, i] {
+      ++done;
+      return i;
+    }));
+  EXPECT_THROW(pool.wait_all(std::move(futs)), std::runtime_error);
+  EXPECT_EQ(done.load(), 20);
+
+  std::vector<std::future<int>> ok;
+  for (int i = 0; i < 5; ++i) ok.push_back(pool.submit([i] { return i; }));
+  EXPECT_EQ(pool.wait_all(std::move(ok)), (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(ThreadPool, NestedSubmissionDoesNotDeadlock) {

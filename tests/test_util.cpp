@@ -1,15 +1,21 @@
-// Unit tests for util: RNG, byte IO, entropy, hashing, stats, tables.
+// Unit tests for util: RNG, byte IO, entropy, hashing, stats, tables,
+// numeric environment knobs.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "util/bytes.hpp"
 #include "util/entropy.hpp"
+#include "util/env.hpp"
 #include "util/hashing.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/threadpool.hpp"
 
 namespace mpass::util {
 namespace {
@@ -273,6 +279,63 @@ TEST(Table, RendersAlignedColumns) {
 TEST(Table, NumFormatsDecimals) {
   EXPECT_EQ(Table::num(1.25, 1), "1.2");
   EXPECT_EQ(Table::num(98.6), "98.6");
+}
+
+// ---- environment knobs ---------------------------------------------------------
+
+/// Sets (or, with nullptr, unsets) one environment variable for a scope and
+/// restores its previous state.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* v = std::getenv(name)) prev_ = v;
+    set(value);
+  }
+  ~ScopedEnv() { set(prev_ ? prev_->c_str() : nullptr); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  void set(const char* value) {
+    if (value) ::setenv(name_, value, 1);
+    else ::unsetenv(name_);
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> prev_;
+};
+
+TEST(Env, U64AcceptsOnlyDecimalDigits) {
+  ScopedEnv env("MPASS_TEST_KNOB", nullptr);
+  EXPECT_EQ(env_u64("MPASS_TEST_KNOB", 7), 7u);
+  for (const char* bad : {"-1", "abc", "12x", " 5", "+5", "1e3", "0x10",
+                          "18446744073709551616", "99999999999999999999999"}) {
+    env.set(bad);
+    EXPECT_EQ(env_u64("MPASS_TEST_KNOB", 7), 7u) << bad;
+  }
+  env.set("");
+  EXPECT_EQ(env_u64("MPASS_TEST_KNOB", 7), 7u);
+  env.set("0");
+  EXPECT_EQ(env_u64("MPASS_TEST_KNOB", 7), 0u);
+  env.set("42");
+  EXPECT_EQ(env_u64("MPASS_TEST_KNOB", 7), 42u);
+  env.set("18446744073709551615");
+  EXPECT_EQ(env_u64("MPASS_TEST_KNOB", 7), 18446744073709551615u);
+}
+
+// env_threads() only computes the size; no pool is built with it here.
+TEST(Env, ThreadsFallsBackOnBadValuesAndIsCapped) {
+  ScopedEnv env("MPASS_THREADS", nullptr);
+  const std::size_t fallback = ThreadPool::env_threads();
+  EXPECT_GE(fallback, 1u);
+  for (const char* bad : {"-1", "abc", "0", "99999999999999999999999"}) {
+    env.set(bad);
+    EXPECT_EQ(ThreadPool::env_threads(), fallback) << bad;
+  }
+  env.set("1000000");
+  EXPECT_EQ(ThreadPool::env_threads(), ThreadPool::kMaxEnvThreads);
+  env.set("3");
+  EXPECT_EQ(ThreadPool::env_threads(), 3u);
 }
 
 }  // namespace

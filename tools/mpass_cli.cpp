@@ -13,10 +13,10 @@
 #include <map>
 #include <string>
 
-#include "core/mpass.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/zoo.hpp"
 #include "explain/pem.hpp"
+#include "harness/experiment.hpp"
 #include "isa/isa.hpp"
 #include "pack/packer.hpp"
 #include "pe/import.hpp"
@@ -138,14 +138,13 @@ int cmd_attack(int argc, char** argv) {
   }
   std::printf("target %s: original score %.4f (threshold %.4f)\n", target_name,
               target->score(file), target->threshold());
-  core::Mpass attack({}, zoo.benign_pool(),
-                     zoo.known_nets_excluding(target_name));
+  const auto atk = harness::make_attack("MPass", zoo, target_name);
   detect::HardLabelOracle oracle(*target, 100);
-  const core::MpassResult r = attack.run(file, oracle, seed);
-  std::printf("success=%d queries=%zu APR=%.0f%%\n", r.success,
-              oracle.queries(), 100.0 * r.apr);
+  const attack::AttackResult r = atk->run(file, oracle, seed);
+  std::printf("success=%d queries=%zu\n", r.success, oracle.queries());
   if (r.success) {
-    std::printf("AE score: %.4f\n", target->score(r.adversarial));
+    std::printf("AE score: %.4f APR=%.0f%%\n", target->score(r.adversarial),
+                100.0 * attack::apr_of(file.size(), r.adversarial.size()));
     const vm::Sandbox sandbox;
     std::printf("functionality preserved: %s\n",
                 sandbox.functionality_preserved(file, r.adversarial) ? "yes"

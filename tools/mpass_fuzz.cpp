@@ -24,6 +24,7 @@
 #include "obs/trace.hpp"
 #include "pe/pe.hpp"
 #include "util/bytes.hpp"
+#include "util/env.hpp"
 #include "util/serialize.hpp"
 
 namespace {
@@ -63,9 +64,9 @@ void print_violation(const fuzz::Violation& v) {
 
 int cmd_run(int argc, char** argv) {
   fuzz::FuzzConfig cfg;
-  const char* env_iters = std::getenv("MPASS_FUZZ_ITERS");
-  cfg.iterations = std::strtoull(
-      opt(argc, argv, "--iters", env_iters ? env_iters : "10000"), nullptr, 10);
+  cfg.iterations = util::env_u64("MPASS_FUZZ_ITERS", 10000);
+  if (const char* v = opt(argc, argv, "--iters"))
+    cfg.iterations = std::strtoull(v, nullptr, 10);
   cfg.seed = std::strtoull(opt(argc, argv, "--seed", "1"), nullptr, 10);
   cfg.attack_every =
       std::strtoull(opt(argc, argv, "--attack-every", "64"), nullptr, 10);
