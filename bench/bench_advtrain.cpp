@@ -38,15 +38,9 @@ int main() {
   const auto [pgd_asr, pgd_aes] = attack_asr(pgd);
 
   // (b) Fine-tune a copy of MalConv on MPass's own AEs (50/50 mix).
-  detect::ByteConvDetector mixed("MalConv-AEmix", detect::malconv_config(),
-                                 zoo.config().seed + 1);
-  {  // clone the zoo MalConv weights
-    util::Archive ar;
-    dynamic_cast<const detect::ByteConvDetector&>(base).save(ar);
-    const util::ByteBuf blob = ar.take();
-    util::Unarchive un(blob);
-    mixed.load(un);
-  }
+  detect::ByteConvDetector mixed(
+      "MalConv-AEmix",
+      dynamic_cast<const detect::ByteConvDetector&>(base).net());
   detect::AdvTrainConfig mix_cfg;
   mix_cfg.epochs = 1;
   detect::adversarial_train_with_aes(mixed, zoo.train(), base_aes, mix_cfg);

@@ -123,22 +123,20 @@ CommercialAv::CommercialAv(AvProfile profile, Untrained)
   if (profile_.model == Model::Gbdt || profile_.model == Model::Hybrid) {
     ml::GbdtConfig cfg = lightgbm_config();
     cfg.trees = 120;
-    gbdt_ = std::make_unique<GbdtDetector>(profile_.name + "-gbdt", cfg,
-                                           /*vendor_features=*/true);
+    gbdt_.emplace(profile_.name + "-gbdt", cfg, /*vendor_features=*/true);
   }
   if (profile_.model != Model::Gbdt) {
     ml::ByteConvConfig cfg = profile_.model == Model::ByteConvGcg
                                  ? malgcg_config()
                                  : malconv_config();
     cfg.filters = 20;
-    net_ = std::make_unique<ByteConvDetector>(profile_.name + "-net", cfg,
-                                              profile_.seed);
+    net_.emplace(profile_.name + "-net", cfg, profile_.seed);
   }
 }
 
 CommercialAv::CommercialAv(AvProfile profile,
                            const corpus::Dataset& shared_train)
-    : profile_(std::move(profile)) {
+    : CommercialAv(std::move(profile), Untrained{}) {
   // Vendor corpus = shared feed + vendor-private telemetry.
   corpus::Dataset vendor = shared_train;
   const std::uint64_t base = util::fnv1a64(profile_.name) ^ profile_.seed;
@@ -154,21 +152,8 @@ CommercialAv::CommercialAv(AvProfile profile,
   }
 
   // Train the ML component.
-  using Model = AvProfile::Model;
-  if (profile_.model == Model::Gbdt || profile_.model == Model::Hybrid) {
-    ml::GbdtConfig cfg = lightgbm_config();
-    cfg.trees = 120;
-    gbdt_ = std::make_unique<GbdtDetector>(profile_.name + "-gbdt", cfg,
-                                           /*vendor_features=*/true);
-    train_gbdt(*gbdt_, vendor, profile_.seed);
-  }
-  if (profile_.model != Model::Gbdt) {
-    ml::ByteConvConfig cfg = profile_.model == Model::ByteConvGcg
-                                 ? malgcg_config()
-                                 : malconv_config();
-    cfg.filters = 20;
-    net_ = std::make_unique<ByteConvDetector>(profile_.name + "-net", cfg,
-                                              profile_.seed);
+  if (gbdt_) train_gbdt(*gbdt_, vendor, profile_.seed);
+  if (net_) {
     NetTrainConfig tc;
     tc.epochs = 2;
     tc.seed = profile_.seed;
@@ -179,17 +164,17 @@ CommercialAv::CommercialAv(AvProfile profile,
   std::vector<ByteBuf> mal_docs, ben_docs;
   for (const corpus::Sample& s : vendor.samples)
     (s.label ? mal_docs : ben_docs).push_back(s.bytes);
-  benign_ref_ = ben_docs;
   for (ByteBuf& sig :
        mine_signatures(mal_docs, ben_docs, 12, profile_.max_sigs,
                        profile_.min_doc_frac))
     sigs_.add(std::move(sig));
+  benign_ref_ =
+      std::make_shared<const std::vector<ByteBuf>>(std::move(ben_docs));
 
   // Calibrate the ML threshold on the vendor corpus.
-  corpus::Dataset calib = vendor;
   std::vector<double> scores;
   std::vector<int> labels;
-  for (const corpus::Sample& s : calib.samples) {
+  for (const corpus::Sample& s : vendor.samples) {
     scores.push_back(model_score(s.bytes));
     labels.push_back(s.label);
   }
@@ -215,27 +200,12 @@ double CommercialAv::score(std::span<const std::uint8_t> bytes) const {
 }
 
 std::size_t CommercialAv::update(std::span<const ByteBuf> submissions) {
-  ++updates_;
   if (submissions.empty()) return 0;
   std::vector<ByteBuf> fresh = mine_signatures(
-      submissions, benign_ref_, 12,
+      submissions, *benign_ref_, 12,
       /*max_sigs=*/64, /*min_doc_frac=*/std::max(0.08, profile_.min_doc_frac));
-  std::size_t added = 0;
-  for (ByteBuf& sig : fresh) {
-    sigs_.add(std::move(sig));
-    ++added;
-  }
-  return added;
-}
-
-std::unique_ptr<Detector> CommercialAv::clone() const {
-  auto copy = std::make_unique<CommercialAv>(profile_, Untrained{});
-  util::Archive ar;
-  save(ar);
-  const ByteBuf blob = ar.take();
-  util::Unarchive un(blob);
-  copy->load(un);
-  return copy;
+  for (ByteBuf& sig : fresh) sigs_.add(std::move(sig));
+  return fresh.size();
 }
 
 void CommercialAv::save(util::Archive& ar) const {
@@ -246,8 +216,8 @@ void CommercialAv::save(util::Archive& ar) const {
   if (gbdt_) gbdt_->save(ar);
   if (net_) net_->save(ar);
   sigs_.save(ar);
-  ar.u32(static_cast<std::uint32_t>(benign_ref_.size()));
-  for (const ByteBuf& b : benign_ref_) ar.bytes(b);
+  ar.u32(static_cast<std::uint32_t>(benign_ref_->size()));
+  for (const ByteBuf& b : *benign_ref_) ar.bytes(b);
 }
 
 void CommercialAv::load(util::Unarchive& ar) {
@@ -260,8 +230,10 @@ void CommercialAv::load(util::Unarchive& ar) {
   if (gbdt_) gbdt_->load(ar);
   if (net_) net_->load(ar);
   sigs_.load(ar);
-  benign_ref_.assign(ar.u32(), {});
-  for (ByteBuf& b : benign_ref_) b = ar.bytes();
+  std::vector<ByteBuf> benign(ar.u32());
+  for (ByteBuf& b : benign) b = ar.bytes();
+  benign_ref_ =
+      std::make_shared<const std::vector<ByteBuf>>(std::move(benign));
 }
 
 }  // namespace mpass::detect

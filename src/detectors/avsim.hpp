@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "corpus/generator.hpp"
 #include "detectors/models.hpp"
@@ -24,7 +25,6 @@ class SignatureDb {
   void add(util::ByteBuf pattern);
   std::size_t size() const { return patterns_.size(); }
   bool matches(std::span<const std::uint8_t> bytes) const;
-  const std::vector<util::ByteBuf>& patterns() const { return patterns_; }
 
   void save(util::Archive& ar) const;
   void load(util::Unarchive& ar);
@@ -56,7 +56,9 @@ struct AvProfile {
 /// The five default profiles (AV1..AV5).
 std::vector<AvProfile> default_av_profiles();
 
-/// One simulated commercial ML AV.
+/// One simulated commercial ML AV. A value type: the copy constructor
+/// copies the trained models, the signature DB and the threshold, and
+/// shares the immutable vendor whitelist.
 class CommercialAv : public Detector {
  public:
   /// Trains the model on shared + vendor-private data and seeds the
@@ -70,18 +72,17 @@ class CommercialAv : public Detector {
   std::string_view name() const override { return profile_.name; }
   double score(std::span<const std::uint8_t> bytes) const override;
 
-  /// Deep copy via the archive round-trip (model weights, signature DB,
-  /// benign whitelist, threshold). The clone starts a fresh
-  /// updates_applied() count -- it is a query target, not a learning AV.
-  std::unique_ptr<Detector> clone() const override;
+  std::unique_ptr<Detector> clone() const override {
+    return std::make_unique<CommercialAv>(*this);
+  }
 
   /// Weekly learning update: mines new signatures shared across the
-  /// submitted (vendor-sandbox-confirmed malicious) samples.
+  /// submitted (vendor-sandbox-confirmed malicious) samples. Only this
+  /// AV's signature DB grows; copies made before the update keep theirs.
   /// Returns the number of new signatures added.
   std::size_t update(std::span<const util::ByteBuf> submissions);
 
   const SignatureDb& signatures() const { return sigs_; }
-  std::size_t updates_applied() const { return updates_; }
 
   void save(util::Archive& ar) const;
   void load(util::Unarchive& ar);
@@ -90,11 +91,13 @@ class CommercialAv : public Detector {
   double model_score(std::span<const std::uint8_t> bytes) const;
 
   AvProfile profile_;
-  std::unique_ptr<GbdtDetector> gbdt_;
-  std::unique_ptr<ByteConvDetector> net_;
+  std::optional<GbdtDetector> gbdt_;
+  std::optional<ByteConvDetector> net_;
   SignatureDb sigs_;
-  std::vector<util::ByteBuf> benign_ref_;  // vendor benign corpus (whitelist)
-  std::size_t updates_ = 0;
+  // Vendor benign corpus: the whitelist update() mines against. Never
+  // changed after training or loading, so copies share it.
+  std::shared_ptr<const std::vector<util::ByteBuf>> benign_ref_ =
+      std::make_shared<const std::vector<util::ByteBuf>>();
 };
 
 }  // namespace mpass::detect

@@ -24,6 +24,11 @@ class ByteConvDetector : public Detector {
                    std::uint64_t seed)
       : name_(std::move(name)), net_(cfg, seed) {}
 
+  /// A detector named `name` that scores with a copy of `net`'s trained
+  /// weights; its threshold starts at the default until calibrated.
+  ByteConvDetector(std::string name, const ml::ByteConvNet& net)
+      : name_(std::move(name)), net_(net) {}
+
   std::string_view name() const override { return name_; }
 
   /// Query-based attacks (MAB's per-pull mutations, GAMMA's genome

@@ -1,7 +1,6 @@
 #include "detectors/zoo.hpp"
 
 #include <cstdlib>
-#include <exception>
 #include <functional>
 
 #include "obs/log.hpp"
@@ -22,31 +21,12 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   return static_cast<std::size_t>(util::env_u64(name, fallback));
 }
 
-/// Runs `tasks` on the shared pool and `here` on the calling thread, then
-/// waits for every task -- also when one of them or `here` throws, since
-/// the tasks reference the caller's frame -- and rethrows the first error.
-void train_on_pool(const std::vector<std::function<void()>>& tasks,
-                   const std::function<void()>& here = {}) {
+/// Runs `tasks` on the shared pool and waits for all of them.
+void train_on_pool(const std::vector<std::function<void()>>& tasks) {
   util::ThreadPool& pool = util::ThreadPool::instance();
   std::vector<std::future<void>> futs;
   for (const auto& task : tasks) futs.push_back(pool.submit(task));
-  std::exception_ptr error;
-  const auto keep_first = [&error] {
-    if (!error) error = std::current_exception();
-  };
-  try {
-    if (here) here();
-  } catch (...) {
-    keep_first();
-  }
-  for (std::future<void>& f : futs) {
-    try {
-      pool.wait(std::move(f));
-    } catch (...) {
-      keep_first();
-    }
-  }
-  if (error) std::rethrow_exception(error);
+  pool.wait_all(std::move(futs));
 }
 }  // namespace
 
@@ -271,7 +251,7 @@ void ModelZoo::build_or_load() {
             train_.samples.size(), test_.samples.size(), cfg_.net_epochs);
   OBS_SCOPE("zoo.train");
 
-  // Train the target nets and surrogates as pool tasks, GBDT + LM here.
+  // Train GBDT + LM, the target nets and the surrogates as pool tasks.
   NetTrainConfig tc;
   tc.epochs = cfg_.net_epochs;
   tc.seed = cfg_.seed + 10;
@@ -282,21 +262,21 @@ void ModelZoo::build_or_load() {
       cfg_.seed ^ 0xA77AC4, cfg_.train_malware / 2 + 150,
       cfg_.train_benign / 2 + 150);
   augment_structural_noise(attacker_train, cfg_.seed ^ 0xA07);
-  std::vector<std::function<void()>> nets;
-  for (ByteConvDetector* d : {malconv_.get(), nonneg_.get(), malgcg_.get()})
-    nets.push_back([&, d] { train_net(*d, train_, tc); });
-  for (auto& s : surrogates_)
-    nets.push_back([&, sp = s.get()] {
-      NetTrainConfig stc = tc;
-      stc.seed ^= util::fnv1a64(std::string_view(sp->name()));
-      train_net(*sp, attacker_train, stc);
-    });
-  train_on_pool(nets, [&] {
+  std::vector<std::function<void()>> tasks = {[&] {
     train_gbdt(*lightgbm_, train_, cfg_.seed + 11);
     util::Rng lm_rng(cfg_.seed + 12);
     for (int e = 0; e < cfg_.lm_epochs; ++e)
       lm_->train_epoch(pool_, cfg_.lm_windows, 2e-3f, lm_rng);
-  });
+  }};
+  for (ByteConvDetector* d : {malconv_.get(), nonneg_.get(), malgcg_.get()})
+    tasks.push_back([&, d] { train_net(*d, train_, tc); });
+  for (auto& s : surrogates_)
+    tasks.push_back([&, sp = s.get()] {
+      NetTrainConfig stc = tc;
+      stc.seed ^= util::fnv1a64(std::string_view(sp->name()));
+      train_net(*sp, attacker_train, stc);
+    });
+  train_on_pool(tasks);
 
   for (Detector* d : offline()) {
     calibrate_threshold(*d, train_, cfg_.target_fpr);

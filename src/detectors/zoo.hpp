@@ -9,10 +9,9 @@
 // environment variables (MPASS_TRAIN_MAL, MPASS_TRAIN_BEN, MPASS_TEST_MAL,
 // MPASS_TEST_BEN, MPASS_NET_EPOCHS, MPASS_SEED, MPASS_NO_CACHE).
 //
-// Training runs the three target nets and three surrogates, and later the
-// five AV simulators, as util::ThreadPool::instance() tasks (sized by
-// MPASS_THREADS); GBDT and the LM train on the calling thread meanwhile.
-// Each model keeps its own seed, so the cached files do not depend on the
+// Training runs GBDT + the LM, the three target nets and three surrogates,
+// and later the five AV simulators, as util::ThreadPool::instance() tasks
+// (sized by MPASS_THREADS). Each model keeps its own seed, so the cached files do not depend on the
 // thread count. A zoo loaded from cache never touches the pool.
 #pragma once
 

@@ -470,20 +470,9 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
         tl.attacks.end())
       tl.attacks.push_back(c.attack);
 
-  // Fresh AV copies so the learning simulation does not pollute the zoo.
-  const auto profiles = detect::default_av_profiles();
-  std::vector<std::unique_ptr<detect::CommercialAv>> avs;
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    auto av = std::make_unique<detect::CommercialAv>(
-        profiles[i], detect::CommercialAv::Untrained{});
-    // Clone trained state via the archive round-trip.
-    util::Archive ar;
-    zoo.avs()[i]->save(ar);
-    const ByteBuf blob = ar.take();
-    util::Unarchive un(blob);
-    av->load(un);
-    avs.push_back(std::move(av));
-  }
+  // Copies, so the learning simulation does not pollute the zoo's AVs.
+  std::vector<detect::CommercialAv> avs;
+  for (const auto& av : zoo.avs()) avs.push_back(*av);
 
   tl.bypass.assign(
       tl.attacks.size(),
@@ -504,7 +493,7 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
           for (std::size_t i = round - 1; i < c.aes.size(); i += slices)
             batch.push_back(c.aes[i]);
         }
-        avs[a]->update(batch);
+        avs[a].update(batch);
       }
     }
     for (const CellStats& c : cells) {
@@ -517,7 +506,7 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
       if (c.aes.empty()) continue;
       std::size_t bypass = 0;
       for (const ByteBuf& ae : c.aes)
-        if (!avs[vi]->is_malicious(ae)) ++bypass;
+        if (!avs[vi].is_malicious(ae)) ++bypass;
       tl.bypass[ai][vi][round] = 100.0 * static_cast<double>(bypass) /
                                  static_cast<double>(c.aes.size());
     }

@@ -91,21 +91,28 @@ class ThreadPool {
   }
 
   /// Waits for every future -- also after one throws, since tasks usually
-  /// reference the caller's frame -- then returns the results in order or
-  /// rethrows the first error.
+  /// reference the caller's frame -- then rethrows the first error or
+  /// returns the results in order (nothing for void futures).
   template <typename T>
-  std::vector<T> wait_all(std::vector<std::future<T>> futs) {
-    std::vector<T> out(futs.size());
+  auto wait_all(std::vector<std::future<T>> futs) {
     std::exception_ptr error;
-    for (std::size_t i = 0; i < futs.size(); ++i) {
-      try {
-        out[i] = wait(std::move(futs[i]));
-      } catch (...) {
-        if (!error) error = std::current_exception();
+    const auto each = [&](auto&& wait_one) {
+      for (std::size_t i = 0; i < futs.size(); ++i) {
+        try {
+          wait_one(i);
+        } catch (...) {
+          if (!error) error = std::current_exception();
+        }
       }
+      if (error) std::rethrow_exception(error);
+    };
+    if constexpr (std::is_void_v<T>) {
+      each([&](std::size_t i) { wait(std::move(futs[i])); });
+    } else {
+      std::vector<T> out(futs.size());
+      each([&](std::size_t i) { out[i] = wait(std::move(futs[i])); });
+      return out;
     }
-    if (error) std::rethrow_exception(error);
-    return out;
   }
 
  private:

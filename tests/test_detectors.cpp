@@ -143,6 +143,29 @@ TEST(Detectors, SerializationRoundTrip) {
   EXPECT_DOUBLE_EQ(other.score(probe), det.score(probe));
 }
 
+// A named copy (bench_advtrain's AE-mix target) keeps its own name: result
+// shards are keyed by target name, so a copy that took the source's name
+// would be served the source's cached outcomes.
+TEST(Detectors, NamedCopyKeepsItsNameAndScoresBitEqual) {
+  const corpus::Dataset data = tiny_dataset(81, 12);
+  ml::ByteConvConfig cfg;
+  cfg.max_len = 8192;
+  cfg.embed_dim = 4;
+  cfg.filters = 8;
+  cfg.width = 16;
+  cfg.stride = 8;
+  cfg.hidden = 8;
+  ByteConvDetector src("MalConv", cfg, 5);
+  NetTrainConfig tc;
+  tc.epochs = 1;
+  train_net(src, data, tc);
+  const ByteConvDetector copy("MalConv-AEmix", src.net());
+  EXPECT_EQ(copy.name(), "MalConv-AEmix");
+  EXPECT_EQ(src.name(), "MalConv");
+  for (const corpus::Sample& s : data.samples)
+    EXPECT_EQ(copy.score(s.bytes), src.score(s.bytes));
+}
+
 TEST(Features, VendorHeuristicsFlagMovedEntryPoint) {
   // A normal sample: entry in .text, code decodes, no WX section.
   const corpus::CompiledSample s = corpus::make_malware(300);

@@ -82,8 +82,35 @@ TEST_F(MiniZoo, PemRanksContentSections) {
             res.common_sections.end());
 }
 
+TEST_F(MiniZoo, AvCloneScoresBitEqual) {
+  const detect::CommercialAv& av = *zoo().avs()[1];  // hybrid: GBDT + net
+  const auto clone = av.clone();
+  EXPECT_EQ(clone->name(), av.name());
+  EXPECT_EQ(clone->threshold(), av.threshold());
+  for (int i = 0; i < 4; ++i) {
+    const ByteBuf mal = corpus::make_malware(717000 + i).bytes();
+    const ByteBuf ben = corpus::make_benign(717000 + i).bytes();
+    EXPECT_EQ(clone->score(mal), av.score(mal));
+    EXPECT_EQ(clone->score(ben), av.score(ben));
+  }
+}
+
+TEST_F(MiniZoo, UpdatingAnAvCopyLeavesTheOriginal) {
+  // av_learning_timeline learns on copies of the zoo's AVs.
+  const detect::CommercialAv& original = *zoo().avs()[0];
+  detect::CommercialAv copy = original;
+  const std::size_t before = original.signatures().size();
+  std::vector<ByteBuf> submissions;
+  for (int i = 0; i < 8; ++i)
+    submissions.push_back(corpus::make_malware(727000 + i).bytes());
+  const std::size_t added = copy.update(submissions);
+  EXPECT_GT(added, 0u);
+  EXPECT_EQ(copy.signatures().size(), before + added);
+  EXPECT_EQ(original.signatures().size(), before);
+}
+
 TEST_F(MiniZoo, AvLearningCatchesBaselineArtifacts) {
-  detect::CommercialAv& av = *zoo().avs()[0];
+  detect::CommercialAv av = *zoo().avs()[0];  // learn on a copy
   attack::Mab mab({}, zoo().benign_pool());
   const detect::Detector* gate[] = {&av};
   const auto samples = harness::make_attack_set(gate, 6, 123);

@@ -61,6 +61,17 @@ TEST(ThreadPool, WaitAllFinishesEveryTaskBeforeRethrowing) {
   EXPECT_EQ(pool.wait_all(std::move(ok)), (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(ThreadPool, WaitAllOnVoidFuturesFinishesEveryTaskBeforeRethrowing) {
+  // The zoo trains its models as void tasks through this path.
+  util::ThreadPool pool(1);
+  std::atomic<int> done{0};
+  std::vector<std::future<void>> futs;
+  futs.push_back(pool.submit([] { throw std::runtime_error("x"); }));
+  for (int i = 0; i < 20; ++i) futs.push_back(pool.submit([&done] { ++done; }));
+  EXPECT_THROW(pool.wait_all(std::move(futs)), std::runtime_error);
+  EXPECT_EQ(done.load(), 20);
+}
+
 TEST(ThreadPool, NestedSubmissionDoesNotDeadlock) {
   // Single worker: the outer task can only finish if waiting on inner
   // futures executes pending tasks on the waiting thread.

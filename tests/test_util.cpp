@@ -323,6 +323,14 @@ TEST(Env, U64AcceptsOnlyDecimalDigits) {
   EXPECT_EQ(env_u64("MPASS_TEST_KNOB", 7), 18446744073709551615u);
 }
 
+TEST(Env, F64AcceptsOnlyWholeFiniteNumbers) {
+  for (const char* bad : {"", "abc", "0.2x", " 1", "+1", "inf", "nan", "1e999"})
+    EXPECT_FALSE(parse_f64(bad).has_value()) << bad;
+  EXPECT_EQ(parse_f64("0.20"), 0.20);
+  EXPECT_EQ(parse_f64("10"), 10.0);
+  EXPECT_EQ(parse_f64("-2.5e1"), -25.0);
+}
+
 // env_threads() only computes the size; no pool is built with it here.
 TEST(Env, ThreadsFallsBackOnBadValuesAndIsCapped) {
   ScopedEnv env("MPASS_THREADS", nullptr);

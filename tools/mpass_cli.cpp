@@ -9,10 +9,12 @@
 //   mpass disasm FILE                                    disassemble entry code
 //   mpass info  FILE                                     PE structure dump
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
 
+#include "cli_args.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/zoo.hpp"
 #include "explain/pem.hpp"
@@ -28,6 +30,7 @@
 namespace {
 
 using namespace mpass;
+using namespace mpass::tools;
 using util::ByteBuf;
 
 int usage() {
@@ -48,19 +51,6 @@ int usage() {
   return 2;
 }
 
-const char* opt(int argc, char** argv, const char* name,
-                const char* fallback = nullptr) {
-  for (int i = 0; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  return fallback;
-}
-
-bool flag(int argc, char** argv, const char* name) {
-  for (int i = 0; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
-}
-
 ByteBuf read_file_or_die(const char* path) {
   auto data = util::load_file(path);
   if (!data) {
@@ -73,8 +63,7 @@ ByteBuf read_file_or_die(const char* path) {
 int cmd_gen(int argc, char** argv) {
   const char* out = opt(argc, argv, "--out");
   if (!out) return usage();
-  const std::uint64_t seed =
-      std::strtoull(opt(argc, argv, "--seed", "1"), nullptr, 10);
+  const std::uint64_t seed = opt_u64(argc, argv, "--seed", 1);
   const bool malicious = !flag(argc, argv, "--benign");
   const corpus::CompiledSample s =
       malicious ? corpus::make_malware(seed) : corpus::make_benign(seed);
@@ -122,8 +111,7 @@ int cmd_attack(int argc, char** argv) {
   const ByteBuf file = read_file_or_die(argv[0]);
   const char* target_name = opt(argc, argv, "--target", "MalConv");
   const char* out = opt(argc, argv, "--out");
-  const std::uint64_t seed =
-      std::strtoull(opt(argc, argv, "--seed", "7"), nullptr, 10);
+  const std::uint64_t seed = opt_u64(argc, argv, "--seed", 7);
 
   detect::ModelZoo& zoo = detect::ModelZoo::instance();
   const detect::Detector* target = nullptr;
@@ -180,8 +168,7 @@ int cmd_pack(int argc, char** argv) {
 }
 
 int cmd_pem(int argc, char** argv) {
-  const std::size_t n =
-      std::strtoull(opt(argc, argv, "--n", "12"), nullptr, 10);
+  const std::size_t n = opt_u64(argc, argv, "--n", 12);
   detect::ModelZoo& zoo = detect::ModelZoo::instance();
   std::vector<ByteBuf> malware;
   for (std::size_t i = 0; i < n; ++i)
@@ -229,12 +216,9 @@ int cmd_disasm(int argc, char** argv) {
 int cmd_gen_corpus(int argc, char** argv) {
   const char* dir = opt(argc, argv, "--dir");
   if (!dir) return usage();
-  const std::size_t mal =
-      std::strtoull(opt(argc, argv, "--malware", "20"), nullptr, 10);
-  const std::size_t ben =
-      std::strtoull(opt(argc, argv, "--benign", "20"), nullptr, 10);
-  const std::uint64_t seed =
-      std::strtoull(opt(argc, argv, "--seed", "1"), nullptr, 10);
+  const std::size_t mal = opt_u64(argc, argv, "--malware", 20);
+  const std::size_t ben = opt_u64(argc, argv, "--benign", 20);
+  const std::uint64_t seed = opt_u64(argc, argv, "--seed", 1);
   const corpus::Dataset ds = corpus::generate_dataset(seed, mal, ben);
   corpus::save_dataset(ds, dir);
   std::printf("wrote %zu samples (%zu malware, %zu benign) to %s\n",
@@ -243,8 +227,7 @@ int cmd_gen_corpus(int argc, char** argv) {
 }
 
 int cmd_corpus_stats(int argc, char** argv) {
-  const std::size_t n =
-      std::strtoull(opt(argc, argv, "--n", "50"), nullptr, 10);
+  const std::size_t n = opt_u64(argc, argv, "--n", 50);
   struct Acc {
     std::size_t count = 0;
     double bytes = 0, sections = 0, entropy = 0, overlay = 0;
@@ -318,6 +301,8 @@ int main(int argc, char** argv) {
   } catch (const util::ParseError& e) {
     std::fprintf(stderr, "parse error: %s\n", e.what());
     return 1;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "mpass: %s\n", e.what());
   }
   return usage();
 }

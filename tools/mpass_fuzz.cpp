@@ -12,11 +12,10 @@
 // MPASS_FUZZ_ITERS overrides the default iteration count of `run`.
 // Exit code: 0 clean, 1 invariant violation(s), 2 usage error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
+#include "cli_args.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/mutator.hpp"
 #include "fuzz/oracle.hpp"
@@ -30,6 +29,7 @@
 namespace {
 
 using namespace mpass;
+using namespace mpass::tools;
 using util::ByteBuf;
 
 int usage() {
@@ -43,19 +43,6 @@ int usage() {
   return 2;
 }
 
-const char* opt(int argc, char** argv, const char* name,
-                const char* fallback = nullptr) {
-  for (int i = 0; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  return fallback;
-}
-
-bool flag(int argc, char** argv, const char* name) {
-  for (int i = 0; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
-}
-
 void print_violation(const fuzz::Violation& v) {
   std::fprintf(stderr, "VIOLATION [%s] %s\n",
                std::string(fuzz::kind_name(v.kind)).c_str(),
@@ -64,12 +51,10 @@ void print_violation(const fuzz::Violation& v) {
 
 int cmd_run(int argc, char** argv) {
   fuzz::FuzzConfig cfg;
-  cfg.iterations = util::env_u64("MPASS_FUZZ_ITERS", 10000);
-  if (const char* v = opt(argc, argv, "--iters"))
-    cfg.iterations = std::strtoull(v, nullptr, 10);
-  cfg.seed = std::strtoull(opt(argc, argv, "--seed", "1"), nullptr, 10);
-  cfg.attack_every =
-      std::strtoull(opt(argc, argv, "--attack-every", "64"), nullptr, 10);
+  cfg.iterations = opt_u64(argc, argv, "--iters",
+                           util::env_u64("MPASS_FUZZ_ITERS", 10000));
+  cfg.seed = opt_u64(argc, argv, "--seed", 1);
+  cfg.attack_every = opt_u64(argc, argv, "--attack-every", 64);
   cfg.minimize = !flag(argc, argv, "--no-minimize");
   if (const char* out = opt(argc, argv, "--out")) cfg.out_dir = out;
 
@@ -142,8 +127,8 @@ int cmd_repro(int argc, char** argv) {
 int cmd_repro_iter(int argc, char** argv) {
   if (argc < 1) return usage();
   fuzz::FuzzConfig cfg;
-  cfg.seed = std::strtoull(opt(argc, argv, "--seed", "1"), nullptr, 10);
-  const std::size_t iter = std::strtoull(argv[0], nullptr, 10);
+  cfg.seed = opt_u64(argc, argv, "--seed", 1);
+  const std::size_t iter = to_u64(argv[0], "iteration");
   fuzz::Fuzzer fuzzer(cfg);
   std::vector<std::string> mutators;
   const ByteBuf input = fuzzer.input_for_iteration(iter, &mutators);
@@ -292,7 +277,7 @@ int cmd_make_corpus(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   argc -= 2;
@@ -301,5 +286,8 @@ int main(int argc, char** argv) {
   if (cmd == "repro") return cmd_repro(argc, argv);
   if (cmd == "repro-iter") return cmd_repro_iter(argc, argv);
   if (cmd == "make-corpus") return cmd_make_corpus(argc, argv);
+  return usage();
+} catch (const UsageError& e) {
+  std::fprintf(stderr, "mpass_fuzz: %s\n", e.what());
   return usage();
 }

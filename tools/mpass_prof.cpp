@@ -27,8 +27,6 @@
 // also accepts a BENCH_SUMMARY.json. Exit codes: 0 pass, 1 regression/collect
 // failure, 2 usage or parse error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -36,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "obs/json.hpp"
 #include "obs/profile.hpp"
 #include "util/serialize.hpp"
@@ -43,6 +42,7 @@
 namespace {
 
 using mpass::obs::Json;
+using namespace mpass::tools;
 
 int usage() {
   std::fprintf(
@@ -56,19 +56,6 @@ int usage() {
       "                  [--min-ms 10] [--warn-only] [--only <bench>]\n"
       "                  [--wall-only]\n");
   return 2;
-}
-
-const char* opt(int argc, char** argv, const char* name,
-                const char* fallback = nullptr) {
-  for (int i = 2; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  return fallback;
-}
-
-bool flag(int argc, char** argv, const char* name) {
-  for (int i = 2; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
 }
 
 std::optional<Json> load_json(const std::filesystem::path& path) {
@@ -100,8 +87,7 @@ std::optional<std::vector<mpass::obs::SpanProfileRow>> load_spans(
 int cmd_top(int argc, char** argv) {
   const auto rows = load_spans(argv[2]);
   if (!rows) return 2;
-  std::size_t n = 20;
-  if (const char* v = opt(argc, argv, "-n")) n = std::strtoull(v, nullptr, 10);
+  const std::size_t n = opt_u64(argc, argv, "-n", 20);
   std::fputs(mpass::obs::render_span_top(*rows, n).c_str(), stdout);
   return 0;
 }
@@ -198,10 +184,8 @@ int cmd_compare(int argc, char** argv) {
   if (!base || !cur) return 2;
 
   mpass::obs::ProfCompareOptions opts;
-  if (const char* v = opt(argc, argv, "--threshold"))
-    opts.threshold = std::strtod(v, nullptr);
-  if (const char* v = opt(argc, argv, "--min-ms"))
-    opts.min_ms = std::strtod(v, nullptr);
+  opts.threshold = opt_f64(argc, argv, "--threshold", opts.threshold);
+  opts.min_ms = opt_f64(argc, argv, "--min-ms", opts.min_ms);
   if (const char* v = opt(argc, argv, "--only")) opts.only_bench = v;
   opts.wall_only = flag(argc, argv, "--wall-only");
   if (opts.threshold <= 0.0 || opts.min_ms < 0.0) {
@@ -221,7 +205,7 @@ int cmd_compare(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (argc < 3) return usage();
   const std::string_view cmd = argv[1];
   if (cmd == "top") return cmd_top(argc, argv);
@@ -230,5 +214,8 @@ int main(int argc, char** argv) {
   if (cmd == "diff") return cmd_diff(argc, argv);
   if (cmd == "collect") return cmd_collect(argc, argv);
   if (cmd == "compare") return cmd_compare(argc, argv);
+  return usage();
+} catch (const UsageError& e) {
+  std::fprintf(stderr, "mpass_prof: %s\n", e.what());
   return usage();
 }
