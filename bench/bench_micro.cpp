@@ -1,12 +1,13 @@
 // Component micro-benchmarks (google-benchmark): PE parse/build, feature
 // extraction, detector inference, the optimizer step, GRU byte generation,
-// emulator throughput, LZSS, Shapley.
+// AV signature matching, emulator throughput, LZSS, Shapley.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
 
 #include "core/optimizer.hpp"
 #include "corpus/generator.hpp"
+#include "detectors/avsim.hpp"
 #include "detectors/features.hpp"
 #include "detectors/models.hpp"
 #include "explain/shapley.hpp"
@@ -134,6 +135,22 @@ void BM_GruGenerate(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kBytes));
 }
 BENCHMARK(BM_GruGenerate)->Unit(benchmark::kMillisecond);
+
+// One AV signature check at AV5's database size: 300 random 12-byte
+// patterns against an ~11 KB generated sample that none of them hits, so
+// every window is scanned (the cost of every AV query the model decides).
+void BM_AvSignatureMatch(benchmark::State& state) {
+  util::Rng rng(31);
+  detect::SignatureDb db;
+  for (int i = 0; i < 300; ++i) db.add(rng.bytes(12));
+  util::ByteBuf bytes = sample_malware();
+  bytes.resize(11 * 1024, 0);
+  if (db.matches(bytes)) state.SkipWithError("a random pattern hit");
+  for (auto _ : state) benchmark::DoNotOptimize(db.matches(bytes));
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * bytes.size()));
+}
+BENCHMARK(BM_AvSignatureMatch);
 
 void BM_VmExecute(benchmark::State& state) {
   const auto& bytes = sample_malware();

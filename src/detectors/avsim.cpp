@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "detectors/training.hpp"
+#include "obs/span.hpp"
 #include "util/hashing.hpp"
 #include "util/stats.hpp"
 
@@ -15,15 +16,62 @@ using util::ByteBuf;
 
 // ---- SignatureDb -----------------------------------------------------------
 
+namespace {
+
+std::uint64_t window_hash(const std::uint8_t* p, std::size_t len) {
+  std::uint64_t a = 0, b = 0;
+  if (len >= 8) {
+    std::memcpy(&a, p, 8);
+    std::memcpy(&b, p + len - 8, 8);
+  } else {
+    std::memcpy(&a, p, len);
+  }
+  return a * 0x9E3779B97F4A7C15ull ^ b * 0xC2B2AE3D27D4EB4Full;
+}
+
+// Reads an entry count and rejects one the rest of the archive cannot
+// hold: every entry carries at least a 4-byte length prefix.
+std::uint32_t entry_count(util::Unarchive& ar, const char* what) {
+  const std::uint32_t n = ar.u32();
+  if (n > ar.remaining() / 4)
+    throw util::ParseError(std::string(what) +
+                           ": entry count exceeds the archive");
+  return n;
+}
+
+}  // namespace
+
 void SignatureDb::add(ByteBuf pattern) {
   patterns_.push_back(std::move(pattern));
+  const ByteBuf& p = patterns_.back();
+  if (p.empty()) return;
+  auto ix = std::find_if(index_.begin(), index_.end(), [&](const auto& x) {
+    return x.len == p.size();
+  });
+  if (ix == index_.end()) {
+    ix = index_.emplace(index_.end());
+    ix->len = p.size();
+  }
+  const std::uint64_t h = window_hash(p.data(), p.size());
+  ix->filter[h >> 54] |= std::uint64_t{1} << ((h >> 48) & 63);
+  const std::pair entry{h, static_cast<std::uint32_t>(patterns_.size() - 1)};
+  ix->table.insert(std::upper_bound(ix->table.begin(), ix->table.end(), entry),
+                   entry);
 }
 
 bool SignatureDb::matches(std::span<const std::uint8_t> bytes) const {
-  for (const ByteBuf& p : patterns_) {
-    if (p.empty() || p.size() > bytes.size()) continue;
-    const void* hit = memmem(bytes.data(), bytes.size(), p.data(), p.size());
-    if (hit != nullptr) return true;
+  for (const LengthIndex& ix : index_) {
+    if (ix.len > bytes.size()) continue;
+    for (std::size_t i = 0; i + ix.len <= bytes.size(); ++i) {
+      const std::uint8_t* w = bytes.data() + i;
+      const std::uint64_t h = window_hash(w, ix.len);
+      if (!(ix.filter[h >> 54] >> ((h >> 48) & 63) & 1)) continue;
+      for (auto it = std::lower_bound(ix.table.begin(), ix.table.end(),
+                                      std::pair{h, std::uint32_t{0}});
+           it != ix.table.end() && it->first == h; ++it)
+        if (std::memcmp(patterns_[it->second].data(), w, ix.len) == 0)
+          return true;
+    }
   }
   return false;
 }
@@ -36,8 +84,10 @@ void SignatureDb::save(util::Archive& ar) const {
 
 void SignatureDb::load(util::Unarchive& ar) {
   ar.tag("sigdb");
-  patterns_.assign(ar.u32(), {});
-  for (ByteBuf& p : patterns_) p = ar.bytes();
+  const std::uint32_t n = entry_count(ar, "sigdb");
+  SignatureDb db;
+  for (std::uint32_t i = 0; i < n; ++i) db.add(ar.bytes());
+  *this = std::move(db);
 }
 
 // ---- signature mining -------------------------------------------------------
@@ -195,7 +245,11 @@ double CommercialAv::model_score(std::span<const std::uint8_t> bytes) const {
 }
 
 double CommercialAv::score(std::span<const std::uint8_t> bytes) const {
-  if (sigs_.matches(bytes)) return 1.0;
+  {
+    OBS_SCOPE("detect.av.signatures");
+    if (sigs_.matches(bytes)) return 1.0;
+  }
+  OBS_SCOPE("detect.av.model");
   return model_score(bytes);
 }
 
@@ -230,7 +284,7 @@ void CommercialAv::load(util::Unarchive& ar) {
   if (gbdt_) gbdt_->load(ar);
   if (net_) net_->load(ar);
   sigs_.load(ar);
-  std::vector<ByteBuf> benign(ar.u32());
+  std::vector<ByteBuf> benign(entry_count(ar, "commercial-av"));
   for (ByteBuf& b : benign) b = ar.bytes();
   benign_ref_ =
       std::make_shared<const std::vector<ByteBuf>>(std::move(benign));

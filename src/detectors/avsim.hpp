@@ -11,6 +11,7 @@
 // content, never hashes.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 
@@ -19,7 +20,21 @@
 
 namespace mpass::detect {
 
-/// Byte-pattern signature database with substring matching.
+/// Byte-pattern signature database: matches() is true iff some non-empty
+/// pattern occurs in the buffer. Empty patterns are kept but never match.
+///
+/// The patterns are indexed by length. For each distinct length L the
+/// index holds a 2^16-bit filter and a table of (window hash, pattern
+/// index) pairs sorted by hash. A window's hash mixes two overlapping
+/// 8-byte loads (its first and last 8 bytes) when L >= 8, or its L bytes
+/// when L < 8; the filter bit is the hash's top 16 bits. A query hashes
+/// every L-byte window of the buffer once per distinct length, looks up
+/// the table only on a set filter bit, and reports a hit only after
+/// memcmp confirms a pattern, so a query costs O(bytes x distinct lengths)
+/// whatever the number of patterns (the zoo mines only 12-byte patterns:
+/// one pass) and the answer is exact. add() keeps the index current and
+/// load() rebuilds it; the index is part of the value, so a copy made
+/// before an add() matches only its own patterns.
 class SignatureDb {
  public:
   void add(util::ByteBuf pattern);
@@ -30,7 +45,14 @@ class SignatureDb {
   void load(util::Unarchive& ar);
 
  private:
+  struct LengthIndex {
+    std::size_t len = 0;
+    std::array<std::uint64_t, 1024> filter{};  // 2^16 bits
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> table;  // by hash
+  };
+
   std::vector<util::ByteBuf> patterns_;
+  std::vector<LengthIndex> index_;  // one per distinct non-zero length
 };
 
 /// Mines n-gram signatures: byte n-grams occurring in at least

@@ -48,6 +48,7 @@ class Unarchive {
   std::vector<double> doubles();
   ByteBuf bytes();
   bool eof() const { return r_.eof(); }
+  std::size_t remaining() const { return r_.remaining(); }
 
  private:
   ByteReader r_;

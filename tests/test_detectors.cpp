@@ -2,7 +2,9 @@
 // hard-label oracle, and the commercial-AV simulators (signature mining).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "corpus/generator.hpp"
 #include "detectors/avsim.hpp"
@@ -263,6 +265,185 @@ TEST(Signatures, DbSerializationRoundTrip) {
   EXPECT_EQ(other.size(), 2u);
   EXPECT_TRUE(other.matches(util::to_bytes("xx pattern-two! yy")));
   EXPECT_FALSE(other.matches(util::to_bytes("pattern-three!")));
+}
+
+// ---- the signature index against a memmem reference -------------------------
+
+// One memmem per non-empty pattern: what SignatureDb::matches must agree with.
+bool memmem_matches(const std::vector<ByteBuf>& patterns,
+                    std::span<const std::uint8_t> bytes) {
+  for (const ByteBuf& p : patterns)
+    if (!p.empty() && p.size() <= bytes.size() &&
+        memmem(bytes.data(), bytes.size(), p.data(), p.size()) != nullptr)
+      return true;
+  return false;
+}
+
+SignatureDb db_of(const std::vector<ByteBuf>& patterns) {
+  SignatureDb db;
+  for (const ByteBuf& p : patterns) db.add(p);
+  return db;
+}
+
+SignatureDb round_trip(const SignatureDb& db) {
+  util::Archive ar;
+  db.save(ar);
+  const ByteBuf blob = ar.take();
+  util::Unarchive un(blob);
+  SignatureDb out;
+  out.load(un);
+  return out;
+}
+
+// Bytes over the first `alphabet` values: small alphabets make short
+// patterns and chance hits likely.
+ByteBuf alphabet_bytes(util::Rng& rng, std::size_t n, std::uint64_t alphabet) {
+  ByteBuf out(n);
+  for (std::uint8_t& b : out)
+    b = static_cast<std::uint8_t>(rng.below(alphabet));
+  return out;
+}
+
+void plant(ByteBuf& buf, const ByteBuf& p, std::size_t at) {
+  if (!p.empty() && at + p.size() <= buf.size())
+    std::copy(p.begin(), p.end(),
+              buf.begin() + static_cast<std::ptrdiff_t>(at));
+}
+
+TEST(SignatureIndex, AgreesWithMemmemOnRandomizedDbs) {
+  util::Rng rng(0x51D8);
+  std::size_t hits = 0, misses = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::uint64_t alphabet =
+        std::array<std::uint64_t, 3>{2, 5, 256}[trial % 3];
+    std::vector<ByteBuf> patterns;
+    const std::size_t n_patterns = rng.below(12);
+    for (std::size_t k = 0; k < n_patterns; ++k) {
+      // Mixed lengths 1-20, 12 (the mined length) most often, and both
+      // sides of the 8-byte load boundary.
+      const std::size_t len = rng.below(3) == 0 ? 12 : 1 + rng.below(20);
+      patterns.push_back(alphabet_bytes(rng, len, alphabet));
+    }
+    if (trial % 17 == 0) patterns.push_back({});  // an empty pattern
+    const SignatureDb db = db_of(patterns);
+    const SignatureDb loaded = round_trip(db);
+    ASSERT_EQ(loaded.size(), patterns.size());
+
+    for (int q = 0; q < 8; ++q) {
+      ByteBuf buf = alphabet_bytes(rng, rng.below(200), alphabet);
+      if (q % 4 == 1 && !buf.empty()) {  // long zero runs, as in PE headers
+        const std::size_t at = rng.below(buf.size());
+        std::fill(buf.begin() + static_cast<std::ptrdiff_t>(at), buf.end(), 0);
+      }
+      if (!patterns.empty() && q >= 2) {
+        const ByteBuf& a = patterns[rng.below(patterns.size())];
+        const ByteBuf& b = patterns[rng.below(patterns.size())];
+        switch (q % 3) {
+          case 0:  // offset 0
+            plant(buf, a, 0);
+            break;
+          case 1:  // the last possible offset
+            if (a.size() <= buf.size()) plant(buf, a, buf.size() - a.size());
+            break;
+          default:  // b overlapping the tail of a
+            if (!buf.empty()) {
+              const std::size_t at = rng.below(buf.size());
+              plant(buf, a, at);
+              plant(buf, b, at + (a.empty() ? 0 : rng.below(a.size())));
+            }
+        }
+      }
+      const bool want = memmem_matches(patterns, buf);
+      ASSERT_EQ(db.matches(buf), want) << "trial " << trial << ", query " << q;
+      ASSERT_EQ(loaded.matches(buf), want) << "trial " << trial << ", query "
+                                           << q;
+      (want ? hits : misses) += 1;
+    }
+  }
+  // Both verdicts are exercised, not just one.
+  EXPECT_GT(hits, 500u);
+  EXPECT_GT(misses, 500u);
+}
+
+TEST(SignatureIndex, HitsAtBothEndsAndInsideZeroRuns) {
+  util::Rng rng(0x2E80);
+  for (std::size_t len = 1; len <= 20; ++len) {
+    ByteBuf sig = alphabet_bytes(rng, len, 255);
+    for (std::uint8_t& b : sig) ++b;  // no zero byte
+    const ByteBuf other(len, 0x80);  // a second pattern of this length
+    const SignatureDb db = db_of({other, sig});
+    for (const SignatureDb& d : {db, round_trip(db)}) {
+      ByteBuf zeros(4096, 0);
+      EXPECT_FALSE(d.matches(zeros)) << len;
+      plant(zeros, sig, 0);
+      EXPECT_TRUE(d.matches(zeros)) << len;
+      std::fill(zeros.begin(), zeros.end(), 0);
+      plant(zeros, sig, zeros.size() - len);
+      EXPECT_TRUE(d.matches(zeros)) << len;
+      EXPECT_FALSE(d.matches({zeros.data(), zeros.size() - 1})) << len;
+      EXPECT_TRUE(d.matches(sig)) << len;  // the buffer is the pattern
+    }
+  }
+  // A pattern of zeros hits any long enough zero run.
+  const SignatureDb zero_db = db_of({ByteBuf(12, 0)});
+  EXPECT_TRUE(zero_db.matches(ByteBuf(4096, 0)));
+  EXPECT_FALSE(zero_db.matches(ByteBuf(11, 0)));
+}
+
+TEST(SignatureIndex, EmptyPatternsBuffersAndShortBuffersNeverMatch) {
+  const SignatureDb db = db_of({{}, util::to_bytes("five5"),
+                                util::to_bytes("twelve-bytes")});
+  for (const SignatureDb& d : {db, round_trip(db)}) {
+    EXPECT_EQ(d.size(), 3u);
+    EXPECT_FALSE(d.matches({}));
+    EXPECT_FALSE(d.matches(util::to_bytes("five")));  // shorter than all
+    EXPECT_FALSE(d.matches(util::to_bytes("nothing here at all")));
+    EXPECT_TRUE(d.matches(util::to_bytes("five5")));
+  }
+  EXPECT_FALSE(db_of({{}}).matches(util::to_bytes("anything")));
+  EXPECT_FALSE(SignatureDb{}.matches(util::to_bytes("anything")));
+}
+
+TEST(SignatureIndex, CopyThenAddLeavesTheOriginal) {
+  const SignatureDb original = db_of({util::to_bytes("old-pattern!")});
+  SignatureDb copy = original;
+  const ByteBuf probe = util::to_bytes("xx new-pattern! and short");
+  copy.add(util::to_bytes("new-pattern!"));  // an existing length
+  copy.add(util::to_bytes("short"));         // a new length
+  EXPECT_TRUE(copy.matches(probe));
+  EXPECT_TRUE(copy.matches(util::to_bytes("short")));
+  EXPECT_TRUE(copy.matches(util::to_bytes("old-pattern!")));
+  EXPECT_FALSE(original.matches(probe));
+  EXPECT_FALSE(original.matches(util::to_bytes("short")));
+  EXPECT_TRUE(original.matches(util::to_bytes("old-pattern!")));
+  EXPECT_EQ(original.size(), 1u);
+  EXPECT_EQ(copy.size(), 3u);
+}
+
+// A corrupt count must fail as a ParseError (so the zoo retrains) before
+// anything is allocated for it.
+TEST(SignatureIndex, CorruptPatternCountIsAParseError) {
+  util::Archive ar;
+  ar.tag("sigdb");
+  ar.u32(0xFFFFFFFFu);
+  ar.bytes(util::to_bytes("one-pattern!"));
+  const ByteBuf blob = ar.take();
+  util::Unarchive un(blob);
+  SignatureDb db;
+  EXPECT_THROW(db.load(un), util::ParseError);
+}
+
+TEST(Signatures, CorruptWhitelistCountIsAParseError) {
+  AvProfile profile = default_av_profiles()[0];
+  ASSERT_EQ(profile.model, AvProfile::Model::Gbdt);
+  util::Archive ar;
+  CommercialAv(profile, CommercialAv::Untrained{}).save(ar);
+  ByteBuf blob = ar.take();
+  // An untrained AV's archive ends with its (empty) whitelist's count.
+  std::fill(blob.end() - 4, blob.end(), 0xFF);
+  util::Unarchive un(blob);
+  CommercialAv av(profile, CommercialAv::Untrained{});
+  EXPECT_THROW(av.load(un), util::ParseError);
 }
 
 TEST(Signatures, AvProfilesAreFiveAndDistinct) {

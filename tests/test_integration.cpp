@@ -7,6 +7,7 @@
 #include "attack/mpass.hpp"
 #include "explain/pem.hpp"
 #include "harness/experiment.hpp"
+#include "util/rng.hpp"
 
 namespace mpass {
 namespace {
@@ -96,17 +97,33 @@ TEST_F(MiniZoo, AvCloneScoresBitEqual) {
 }
 
 TEST_F(MiniZoo, UpdatingAnAvCopyLeavesTheOriginal) {
-  // av_learning_timeline learns on copies of the zoo's AVs.
+  // av_learning_timeline learns on copies of the zoo's AVs. The submissions
+  // are random documents sharing one marker: only the marker occurs in more
+  // than one of them, so update() mines it, and no signature of the
+  // original matches them.
   const detect::CommercialAv& original = *zoo().avs()[0];
   detect::CommercialAv copy = original;
   const std::size_t before = original.signatures().size();
+  util::Rng rng(727);
+  const ByteBuf marker = rng.bytes(48);
   std::vector<ByteBuf> submissions;
-  for (int i = 0; i < 8; ++i)
-    submissions.push_back(corpus::make_malware(727000 + i).bytes());
+  for (int i = 0; i < 8; ++i) {
+    ByteBuf s = rng.bytes(1000);  // even: the miner strides by 2
+    s.insert(s.end(), marker.begin(), marker.end());
+    submissions.push_back(std::move(s));
+  }
+  std::vector<double> old_scores;
+  for (const ByteBuf& s : submissions) old_scores.push_back(original.score(s));
   const std::size_t added = copy.update(submissions);
   EXPECT_GT(added, 0u);
   EXPECT_EQ(copy.signatures().size(), before + added);
   EXPECT_EQ(original.signatures().size(), before);
+  for (std::size_t i = 0; i < submissions.size(); ++i) {
+    EXPECT_TRUE(copy.signatures().matches(submissions[i])) << i;
+    EXPECT_EQ(copy.score(submissions[i]), 1.0) << i;
+    EXPECT_FALSE(original.signatures().matches(submissions[i])) << i;
+    EXPECT_EQ(original.score(submissions[i]), old_scores[i]) << i;
+  }
 }
 
 TEST_F(MiniZoo, AvLearningCatchesBaselineArtifacts) {
