@@ -19,14 +19,14 @@ int main() {
   std::vector<const detect::Detector*> gate = {&base};
   const auto samples = harness::make_attack_set(gate, cfg.n_samples, cfg.seed);
 
-  auto attack_asr = [&](const detect::Detector& target) {
+  auto attack = [&](const detect::Detector& target) {
     auto atk = harness::make_attack("MPass", zoo, "MalConv");
-    const harness::CellStats stats =
+    harness::CellStats stats =
         harness::run_cell(*atk, target, samples, samples, cfg);
-    return std::pair<double, std::vector<util::ByteBuf>>(stats.asr,
-                                                         stats.aes);
+    report.add_cells({stats});
+    return stats;
   };
-  const auto [base_asr, base_aes] = attack_asr(base);
+  const harness::CellStats undefended = attack(base);
 
   // (a) PGD-AT-style retraining from scratch.
   detect::ByteConvDetector pgd("MalConv-PGDAT", detect::malconv_config(),
@@ -35,7 +35,7 @@ int main() {
   at.epochs = zoo.config().net_epochs;
   detect::adversarial_train_pgd(pgd, zoo.train(), at);
   detect::calibrate_threshold(pgd, zoo.train(), zoo.config().target_fpr);
-  const auto [pgd_asr, pgd_aes] = attack_asr(pgd);
+  const double pgd_asr = attack(pgd).asr;
 
   // (b) Fine-tune a copy of MalConv on MPass's own AEs (50/50 mix).
   detect::ByteConvDetector mixed(
@@ -43,17 +43,18 @@ int main() {
       dynamic_cast<const detect::ByteConvDetector&>(base).net());
   detect::AdvTrainConfig mix_cfg;
   mix_cfg.epochs = 1;
-  detect::adversarial_train_with_aes(mixed, zoo.train(), base_aes, mix_cfg);
+  detect::adversarial_train_with_aes(mixed, zoo.train(), undefended.aes,
+                                     mix_cfg);
   detect::calibrate_threshold(mixed, zoo.train(), zoo.config().target_fpr);
-  const auto [mix_asr, mix_aes] = attack_asr(mixed);
+  const double mix_asr = attack(mixed).asr;
 
   util::Table table("Extension (paper SVI): adversarial training vs MPass");
   table.header({"Defense", "MPass ASR (%)", "delta vs undefended"});
-  table.row({"none (zoo MalConv)", util::Table::num(base_asr), "-"});
+  table.row({"none (zoo MalConv)", util::Table::num(undefended.asr), "-"});
   table.row({"PGD-AT (gradient AEs)", util::Table::num(pgd_asr),
-             util::Table::num(pgd_asr - base_asr)});
+             util::Table::num(pgd_asr - undefended.asr)});
   table.row({"AE-mix 50/50 (MPass AEs)", util::Table::num(mix_asr),
-             util::Table::num(mix_asr - base_asr)});
+             util::Table::num(mix_asr - undefended.asr)});
   std::cout << table.render();
   std::printf(
       "(n=%zu) Paper SVI: PGD-AT's uniform-perturbation AEs are off the\n"

@@ -95,10 +95,10 @@ inline void print_top_timers(std::size_t top_n = 8) {
 }
 
 /// Machine-readable per-bench report. Construct at the top of main, feed it
-/// the grids the bench computed, and on destruction it writes
-/// BENCH_<name>.json (schema v1: wall_ms, per-cell CellStats, merged span
-/// profile, build metadata) to $MPASS_BENCH_DIR (created if needed) or the
-/// working directory, then flushes any MPASS_PROFILE trace. The schema is
+/// every cell the bench computed, and on destruction it writes
+/// BENCH_<name>.json (schema v1: wall_ms, one CellStats::write_json record
+/// per cell, merged span profile, build metadata) to $MPASS_BENCH_DIR
+/// (created if needed) or the working directory, then flushes any MPASS_PROFILE trace. The schema is
 /// documented in docs/OBSERVABILITY.md and consumed by tools/mpass_prof
 /// (collect / compare) and scripts/run_all_benches.sh.
 class BenchReport {
@@ -110,7 +110,12 @@ class BenchReport {
   BenchReport& operator=(const BenchReport&) = delete;
 
   void add_cells(const std::vector<harness::CellStats>& cells) {
-    cells_.insert(cells_.end(), cells.begin(), cells.end());
+    for (const harness::CellStats& c : cells) {
+      obs::JsonLine cell;
+      c.write_json(cell);
+      if (!cells_.empty()) cells_ += ',';
+      cells_ += cell.take();
+    }
   }
 
   ~BenchReport() {
@@ -134,25 +139,6 @@ class BenchReport {
                             "MPASS_NO_CACHE", "MPASS_TRAIN_MAL"})
       if (const char* v = std::getenv(var)) env.str(var, v);
 
-    std::string cells = "[";
-    for (const harness::CellStats& c : cells_) {
-      if (cells.size() > 1) cells += ',';
-      cells += obs::JsonLine()
-                   .str("attack", c.attack)
-                   .str("target", c.target)
-                   .num("n", static_cast<double>(c.n))
-                   .num("asr", c.asr)
-                   .num("avq", c.avq)
-                   .num("apr", c.apr)
-                   .num("functional", c.functional)
-                   .num("successes", static_cast<double>(c.successes))
-                   .num("total_queries", static_cast<double>(c.total_queries))
-                   .num("wall_ms", c.wall_ms)
-                   .num("qps", c.qps)
-                   .take();
-    }
-    cells += ']';
-
     const std::string spans = obs::spans_to_json(obs::span_snapshot());
     std::string out = obs::JsonLine()
                           .num("schema_version", 1)
@@ -160,7 +146,7 @@ class BenchReport {
                           .num("wall_ms", wall_ms)
                           .raw("build", build.take())
                           .raw("env", env.take())
-                          .raw("cells", cells)
+                          .raw("cells", "[" + cells_ + "]")
                           .raw("spans", spans)
                           .take();
     out += '\n';
@@ -184,16 +170,7 @@ class BenchReport {
  private:
   std::string name_;
   std::chrono::steady_clock::time_point t0_;
-  std::vector<harness::CellStats> cells_;
+  std::string cells_;  // serialized cells, comma-separated
 };
-
-/// Exports a grid to results/<key>.csv next to the cache dir.
-inline void export_results_csv(std::string_view key,
-                               const std::vector<harness::CellStats>& cells) {
-  const auto path = util::cache_dir() / "results" /
-                    (std::string(key) + ".csv");
-  harness::export_csv(path, cells);
-  std::fprintf(stderr, "[csv] wrote %s\n", path.string().c_str());
-}
 
 }  // namespace mpass::bench

@@ -16,6 +16,5 @@ int main() {
       "Paper Fig. 3 (MPass vs best baseline):\n"
       "  AV1 42.3  AV2 35.8  AV3 61.2 (baselines <= 23.2)\n"
       "  AV4 58.8 (baselines <= 6.7)  AV5 29.2\n");
-  bench::export_results_csv("avs", cells);
   return 0;
 }

@@ -11,6 +11,7 @@ int main() {
   const auto cfg = harness::ExperimentConfig::from_env();
   bench::BenchReport report("fig4_av_learning");
   const auto tl = harness::av_learning_timeline(cfg);
+  report.add_cells(tl.cells);
 
   for (std::size_t v = 0; v < tl.avs.size(); ++v) {
     util::Table table("Fig. 4 (" + tl.avs[v] +

@@ -20,6 +20,5 @@ int main() {
       "Paper Table I (2000 samples, real PE corpus):\n"
       "  MalConv 98.6/33.7/94.2/81.8/94.3  NonNeg 99.2/35.4/93.6/90.2/97.0\n"
       "  LightGBM 98.3/20.3/91.8/84.8/28.2 MalGCG 99.6/68.7/87.4/61.4/76.8\n");
-  bench::export_results_csv("offline", cells);
   return 0;
 }

@@ -26,6 +26,5 @@ int main() {
       "Paper Table IV:\n"
       "  UPX 17.1/19.8/11.5/14.8/7.6   PESpin 12.2/16.4/4.0/11.8/5.5\n"
       "  ASPack 17.6/4.2/9.6/12.6/9.3  MPass 42.3/35.8/61.2/58.8/29.2\n");
-  bench::export_results_csv("obfuscation", cells);
   return 0;
 }

@@ -22,6 +22,5 @@ int main() {
   std::printf(
       "Paper Table V:\n"
       "  Other-sec 2.3/4.8/3.2/2.4/5.2  MPass 42.3/35.8/61.2/58.8/29.2\n");
-  bench::export_results_csv("othersec", cells);
   return 0;
 }

@@ -23,6 +23,5 @@ int main() {
   std::printf(
       "Paper Table VI:\n"
       "  Random data 8.3/4.1/5.9/7.2/6.6  MPass 42.3/35.8/61.2/58.8/29.2\n");
-  bench::export_results_csv("randomdata", cells);
   return 0;
 }

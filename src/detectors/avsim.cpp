@@ -29,16 +29,6 @@ std::uint64_t window_hash(const std::uint8_t* p, std::size_t len) {
   return a * 0x9E3779B97F4A7C15ull ^ b * 0xC2B2AE3D27D4EB4Full;
 }
 
-// Reads an entry count and rejects one the rest of the archive cannot
-// hold: every entry carries at least a 4-byte length prefix.
-std::uint32_t entry_count(util::Unarchive& ar, const char* what) {
-  const std::uint32_t n = ar.u32();
-  if (n > ar.remaining() / 4)
-    throw util::ParseError(std::string(what) +
-                           ": entry count exceeds the archive");
-  return n;
-}
-
 }  // namespace
 
 void SignatureDb::add(ByteBuf pattern) {
@@ -84,7 +74,8 @@ void SignatureDb::save(util::Archive& ar) const {
 
 void SignatureDb::load(util::Unarchive& ar) {
   ar.tag("sigdb");
-  const std::uint32_t n = entry_count(ar, "sigdb");
+  // Every pattern carries at least its 4-byte length prefix.
+  const std::uint32_t n = ar.count(4);
   SignatureDb db;
   for (std::uint32_t i = 0; i < n; ++i) db.add(ar.bytes());
   *this = std::move(db);
@@ -284,7 +275,7 @@ void CommercialAv::load(util::Unarchive& ar) {
   if (gbdt_) gbdt_->load(ar);
   if (net_) net_->load(ar);
   sigs_.load(ar);
-  std::vector<ByteBuf> benign(entry_count(ar, "commercial-av"));
+  std::vector<ByteBuf> benign(ar.count(4));
   for (ByteBuf& b : benign) b = ar.bytes();
   benign_ref_ =
       std::make_shared<const std::vector<ByteBuf>>(std::move(benign));

@@ -13,6 +13,7 @@
 #include "attack/obfuscate.hpp"
 #include "attack/rla.hpp"
 #include "corpus/generator.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -79,7 +80,7 @@ struct SampleOutcome {
   // True when loaded from the per-sample cache (never serialized). Cache
   // hits skip the attack entirely, so they produce no trace file; run_cell
   // reports the fresh-run count as "traced" in cells.jsonl so the trace
-  // checker knows which cells can reconcile query totals.
+  // checker knows which cells it can reconcile.
   bool from_cache = false;
 };
 
@@ -194,6 +195,20 @@ std::uint64_t CellStats::result_digest() const {
   return h;
 }
 
+void CellStats::write_json(obs::JsonLine& line) const {
+  line.str("attack", attack)
+      .str("target", target)
+      .uint("n", n)
+      .num("asr", asr)
+      .num("avq", avq)
+      .num("apr", apr)
+      .num("functional", functional)
+      .uint("successes", successes)
+      .uint("total_queries", total_queries)
+      .num("wall_ms", wall_ms)
+      .num("qps", qps);
+}
+
 CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
                    std::span<const ByteBuf> samples,
                    std::span<const ByteBuf> originals_for_sandbox,
@@ -273,20 +288,14 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
                   : 0.0;
   if (!std::isfinite(stats.qps)) stats.qps = 0.0;
   if (obs::trace_dir()) {
-    // Reconciliation anchor for tools/mpass_trace --check: when traced == n
-    // every sample left a fresh trace file, the sum of their end.queries
-    // must equal total_queries and their first benign query indices must
-    // average to avq; cells with cache hits cannot reconcile.
+    // Reconciliation anchor for `mpass_trace check`: when traced == n every
+    // sample left a fresh trace file, and the cell's query total, AVQ, APR
+    // and functional rate must follow from their events; cells with cache
+    // hits cannot reconcile.
     obs::JsonLine line;
-    line.str("ev", "cell")
-        .str("attack", stats.attack)
-        .str("target", stats.target)
-        .uint("n", stats.n)
-        .uint("traced", fresh)
-        .uint("total_queries", stats.total_queries)
-        .uint("successes", stats.successes)
-        .num("avq", stats.avq)
-        .num("wall_ms", stats.wall_ms);
+    line.str("ev", "cell");
+    stats.write_json(line);
+    line.uint("traced", fresh);
     obs::append_run_line("cells.jsonl", line.take());
   }
   return stats;
@@ -337,21 +346,6 @@ std::unique_ptr<attack::Attack> make_attack(std::string_view name,
     return std::make_unique<attack::ObfuscateAttack>(
         pack::PackerKind::AspackLike);
   throw std::invalid_argument("unknown attack: " + std::string(name));
-}
-
-// ---- export -----------------------------------------------------------------
-
-void export_csv(const std::filesystem::path& path,
-                const std::vector<CellStats>& cells) {
-  std::string csv = "attack,target,n,successes,asr,avq,apr,functional\n";
-  char line[256];
-  for (const CellStats& c : cells) {
-    std::snprintf(line, sizeof(line), "%s,%s,%zu,%zu,%.2f,%.2f,%.2f,%.2f\n",
-                  c.attack.c_str(), c.target.c_str(), c.n, c.successes, c.asr,
-                  c.avq, c.apr, c.functional);
-    csv += line;
-  }
-  util::save_file(path, util::to_bytes(csv));
 }
 
 // ---- canonical experiments -----------------------------------------------------
@@ -452,7 +446,8 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
   detect::ModelZoo& zoo = detect::ModelZoo::instance();
   // Fig. 4 extends the Fig. 3 run, adding the no-shuffle MPass ablation so
   // the shuffle strategy's role in surviving AV learning is visible.
-  std::vector<CellStats> cells = av_grid(cfg);
+  LearningTimeline tl;
+  tl.cells = av_grid(cfg);
   std::vector<ByteBuf> samples;
   for (const auto& av : zoo.avs()) {
     auto atk = make_attack("MPass-noshuffle", zoo, av->name());
@@ -460,12 +455,11 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
       const detect::Detector* gate[] = {av.get()};
       samples = make_attack_set(gate, cfg.n_samples, cfg.seed);
     }
-    cells.push_back(run_cell(*atk, *av, samples, samples, cfg));
+    tl.cells.push_back(run_cell(*atk, *av, samples, samples, cfg));
   }
 
-  LearningTimeline tl;
   for (const auto& av : zoo.avs()) tl.avs.emplace_back(av->name());
-  for (const CellStats& c : cells)
+  for (const CellStats& c : tl.cells)
     if (std::find(tl.attacks.begin(), tl.attacks.end(), c.attack) ==
         tl.attacks.end())
       tl.attacks.push_back(c.attack);
@@ -486,7 +480,7 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
     if (round > 0) {
       for (std::size_t a = 0; a < tl.avs.size(); ++a) {
         std::vector<ByteBuf> batch;
-        for (const CellStats& c : cells) {
+        for (const CellStats& c : tl.cells) {
           if (c.target != tl.avs[a]) continue;
           // Split each cell's AEs into (rounds-1) weekly slices.
           const std::size_t slices = tl.rounds - 1;
@@ -496,7 +490,7 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
         avs[a].update(batch);
       }
     }
-    for (const CellStats& c : cells) {
+    for (const CellStats& c : tl.cells) {
       const auto ai = static_cast<std::size_t>(
           std::find(tl.attacks.begin(), tl.attacks.end(), c.attack) -
           tl.attacks.begin());

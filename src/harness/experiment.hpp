@@ -16,6 +16,7 @@
 
 #include "attack/attack.hpp"
 #include "detectors/zoo.hpp"
+#include "obs/json.hpp"
 #include "util/threadpool.hpp"
 #include "vm/sandbox.hpp"
 
@@ -54,6 +55,10 @@ struct CellStats {
   /// timing counters). run_cell guarantees this is identical regardless of
   /// MPASS_THREADS and scheduling order.
   std::uint64_t result_digest() const;
+
+  /// Appends the cell record (every field above but the AEs, in order) to
+  /// `line`: the one writer of BENCH_*.json cells and cells.jsonl lines.
+  void write_json(obs::JsonLine& line) const;
 };
 
 /// Builds the attack sample set: validated malware detected by all `gate`
@@ -118,12 +123,9 @@ struct LearningTimeline {
   // bypass[attack][av][round], percent.
   std::vector<std::vector<std::vector<double>>> bypass;
   std::size_t rounds = 5;
+  // The Fig. 3 grid, then MPass-noshuffle vs each AV: the AEs replayed.
+  std::vector<CellStats> cells;
 };
 LearningTimeline av_learning_timeline(const ExperimentConfig& cfg);
-
-/// Writes a grid as CSV (attack,target,n,successes,asr,avq,apr,functional)
-/// for external plotting; AE payloads are not exported.
-void export_csv(const std::filesystem::path& path,
-                const std::vector<CellStats>& cells);
 
 }  // namespace mpass::harness

@@ -231,9 +231,10 @@ void Gbdt::save(util::Archive& ar) const {
 void Gbdt::load(util::Unarchive& ar) {
   ar.tag("gbdt");
   base_score_ = ar.f32();
-  trees_.assign(ar.u32(), {});
+  // A tree is at least its node count; a node is 3 i64 + 2 f32.
+  trees_.assign(ar.count(4), {});
   for (Tree& t : trees_) {
-    t.assign(ar.u32(), {});
+    t.assign(ar.count(32), {});
     for (Node& nd : t) {
       nd.feature = static_cast<int>(ar.i64());
       nd.threshold = ar.f32();

@@ -223,22 +223,26 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
         }
         if (name == "cells.jsonl") {
           CellTraceData c;
-          double n = 0, traced = 0, tq = 0, successes = 0;
+          double n = 0, successes = 0, tq = 0, traced = 0;
           if (ev != "cell" || !want_str(*parsed, "attack", &c.attack) ||
               !want_str(*parsed, "target", &c.target) ||
               !want_num(*parsed, "n", &n) ||
-              !want_num(*parsed, "traced", &traced) ||
-              !want_num(*parsed, "total_queries", &tq) ||
-              !want_num(*parsed, "successes", &successes) ||
+              !want_num(*parsed, "asr", &c.asr) ||
               !want_num(*parsed, "avq", &c.avq) ||
-              !want_num(*parsed, "wall_ms", &c.wall_ms)) {
+              !want_num(*parsed, "apr", &c.apr) ||
+              !want_num(*parsed, "functional", &c.functional) ||
+              !want_num(*parsed, "successes", &successes) ||
+              !want_num(*parsed, "total_queries", &tq) ||
+              !want_num(*parsed, "wall_ms", &c.wall_ms) ||
+              !want_num(*parsed, "qps", &c.qps) ||
+              !want_num(*parsed, "traced", &traced)) {
             add_error(&rep.errors, name, line_no, "bad \"cell\" line");
             continue;
           }
           c.n = static_cast<std::uint64_t>(n);
-          c.traced = static_cast<std::uint64_t>(traced);
-          c.total_queries = static_cast<std::uint64_t>(tq);
           c.successes = static_cast<std::uint64_t>(successes);
+          c.total_queries = static_cast<std::uint64_t>(tq);
+          c.traced = static_cast<std::uint64_t>(traced);
           rep.data.cells.push_back(std::move(c));
         } else {
           const Json* ranking = parsed->get("ranking");
@@ -271,16 +275,19 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
       rep.data.has_spans = true;
   }
 
-  // Query-budget reconciliation: per (attack, target), the *last* cell line
-  // wins (re-runs append). Only fully traced cells (traced == n and all n
-  // sample files present) are reconcilable -- cache hits execute nothing
-  // and leave no fresh trace.
+  // Reconciliation: per (attack, target), the *last* cell line wins
+  // (re-runs append). Only fully traced cells (traced == n and all n sample
+  // files present) are reconcilable -- cache hits execute nothing and leave
+  // no fresh trace.
   std::map<std::pair<std::string, std::string>, const CellTraceData*> last;
   for (const CellTraceData& c : rep.data.cells)
     last[{c.attack, c.target}] = &c;
   struct Sums {
     std::uint64_t files = 0, queries = 0;
-    std::uint64_t successes = 0, first_benign = 0;  // AVQ numerator/denominator
+    // Over successful samples: first benign query indices, end.apr (and
+    // its magnitude), and how many passed the sandbox.
+    std::uint64_t successes = 0, first_benign = 0, functional = 0;
+    double apr = 0.0, abs_apr = 0.0;
   };
   std::map<std::pair<std::string, std::string>, Sums> sums;
   for (const SampleTraceData& s : rep.data.samples) {
@@ -289,6 +296,9 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
     sum.queries += s.end_queries;
     if (!s.success) continue;
     ++sum.successes;
+    sum.apr += s.apr;
+    sum.abs_apr += std::fabs(s.apr);
+    if (s.functional) ++sum.functional;
     const auto benign = std::find_if(
         s.queries.begin(), s.queries.end(),
         [](const SampleTraceData::Query& q) { return !q.malicious; });
@@ -315,18 +325,32 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
                            std::to_string(sum.queries) +
                            " != cell total_queries " +
                            std::to_string(cell->total_queries));
-    // avq is written with 6 significant digits; compare at that precision.
-    const double avq =
-        sum.successes ? static_cast<double>(sum.first_benign) /
-                            static_cast<double>(sum.successes)
-                      : 0.0;
-    if (sum.successes != cell->successes ||
-        std::fabs(avq - cell->avq) > 1e-5 * std::max(1.0, avq))
-      rep.errors.push_back(cell_name + ": traced AVQ " + std::to_string(avq) +
-                           " over " + std::to_string(sum.successes) +
-                           " successes != cell avq " +
-                           std::to_string(cell->avq) + " over " +
+    if (sum.successes != cell->successes)
+      rep.errors.push_back(cell_name + ": " + std::to_string(sum.successes) +
+                           " traced successes != cell successes " +
                            std::to_string(cell->successes));
+    // Rates carry 6 significant digits: compare at that precision, relative
+    // to the largest magnitude that went into them (end.apr may mix signs).
+    const auto check = [&](const char* metric, double traced, double written,
+                           double magnitude) {
+      if (std::fabs(traced - written) >
+          1e-5 * std::max({1.0, std::fabs(traced), magnitude}))
+        rep.errors.push_back(cell_name + ": traced " + metric + " " +
+                             std::to_string(traced) + " != cell " + metric +
+                             " " + std::to_string(written));
+    };
+    const double successes = static_cast<double>(sum.successes);
+    const auto mean = [&](double total) {
+      return sum.successes ? total / successes : 0.0;
+    };
+    check("asr",
+          100.0 * successes /
+              static_cast<double>(std::max<std::uint64_t>(cell->n, 1)),
+          cell->asr, 0.0);
+    check("avq", mean(static_cast<double>(sum.first_benign)), cell->avq, 0.0);
+    check("apr", 100.0 * mean(sum.apr), cell->apr, 100.0 * mean(sum.abs_apr));
+    check("functional", 100.0 * mean(static_cast<double>(sum.functional)),
+          cell->functional, 0.0);
   }
 
   return rep;

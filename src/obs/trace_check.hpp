@@ -38,15 +38,16 @@ struct SampleTraceData {
   double ms = 0.0;
 };
 
-/// One "cell" line from cells.jsonl.
+/// One "cell" line from cells.jsonl: the cell record of a BENCH_*.json
+/// cell (harness::CellStats::write_json) plus `traced`.
 struct CellTraceData {
   std::string attack, target;
   std::uint64_t n = 0;
-  std::uint64_t traced = 0;  // samples executed (not served from cache)
-  std::uint64_t total_queries = 0;
+  double asr = 0.0, avq = 0.0, apr = 0.0, functional = 0.0;
   std::uint64_t successes = 0;
-  double avq = 0.0;
-  double wall_ms = 0.0;
+  std::uint64_t total_queries = 0;
+  double wall_ms = 0.0, qps = 0.0;
+  std::uint64_t traced = 0;  // samples executed (not served from cache)
 };
 
 /// Everything loaded from a trace directory.
@@ -79,11 +80,9 @@ std::optional<SampleTraceData> parse_sample_trace(
 
 /// Loads and validates a whole trace directory: every *.jsonl line must
 /// satisfy the schema, and for every cell whose samples were all executed
-/// in this run (traced == n and all n files present), the sum of per-sample
-/// query counts must equal the cell's total_queries, and the mean over
-/// successful samples of the index of their first `malicious:false` query
-/// must equal the cell's avq (the CellStats reconciliation of
-/// docs/OBSERVABILITY.md).
+/// in this run (traced == n and all n files present), its total_queries,
+/// successes, asr, avq, apr and functional must follow from the samples'
+/// events (the CellStats reconciliation of docs/OBSERVABILITY.md).
 TraceCheckReport check_trace_dir(const std::filesystem::path& dir);
 
 }  // namespace mpass::obs

@@ -40,20 +40,28 @@ void Unarchive::tag(std::string_view expect) {
                      "', got '" + got + "'");
 }
 
+std::uint32_t Unarchive::count(std::size_t min_entry_bytes) {
+  const std::uint32_t n = r_.u32();
+  if (n > r_.remaining() / min_entry_bytes)
+    throw ParseError("archive: entry count " + std::to_string(n) +
+                     " exceeds the remaining bytes");
+  return n;
+}
+
 std::string Unarchive::str() {
   const std::uint32_t n = r_.u32();
   return r_.fixed_string(n);
 }
 
 std::vector<float> Unarchive::floats() {
-  const std::uint32_t n = r_.u32();
+  const std::uint32_t n = count(sizeof(float));
   std::vector<float> out(n);
   for (auto& x : out) x = r_.read<float>();
   return out;
 }
 
 std::vector<double> Unarchive::doubles() {
-  const std::uint32_t n = r_.u32();
+  const std::uint32_t n = count(sizeof(double));
   std::vector<double> out(n);
   for (auto& x : out) x = r_.read<double>();
   return out;

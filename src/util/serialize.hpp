@@ -43,6 +43,9 @@ class Unarchive {
   std::uint32_t u32() { return r_.u32(); }
   std::uint64_t u64() { return r_.u64(); }
   std::int64_t i64() { return r_.read<std::int64_t>(); }
+  /// Reads an entry count; ParseError if the rest of the archive cannot
+  /// hold that many entries of at least `min_entry_bytes` each.
+  std::uint32_t count(std::size_t min_entry_bytes);
   std::string str();
   std::vector<float> floats();
   std::vector<double> doubles();

@@ -1,5 +1,5 @@
 // Tests for the experiment harness: metric computation, sample gating,
-// cold/warm result-cache invariance.
+// cold/warm result-cache invariance, the traced cell record.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include "harness/experiment.hpp"
+#include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace mpass::harness {
 namespace {
@@ -196,20 +198,66 @@ TEST(Harness, CacheWarmRunEqualsColdRunWithoutAttacking) {
   EXPECT_DOUBLE_EQ(warm.avq, 2.0);
 }
 
-TEST(Harness, CsvExportWritesAllCells) {
-  std::vector<CellStats> cells(2);
-  cells[0] = {"MPass", "MalConv", 10, 9, 90.0, 2.5, 110.0, 100.0, {}, 0,
-              0.0,     0.0};
-  cells[1] = {"RLA", "MalConv", 10, 2, 20.0, 80.0, 400.0, 77.0, {}, 0,
-              0.0,   0.0};
-  const auto path = util::cache_dir() / "results" / "unittest.csv";
-  export_csv(path, cells);
-  const auto data = util::load_file(path);
-  ASSERT_TRUE(data.has_value());
-  const std::string text(data->begin(), data->end());
-  EXPECT_NE(text.find("attack,target"), std::string::npos);
-  EXPECT_NE(text.find("MPass,MalConv,10,9,90.00,2.50"), std::string::npos);
-  EXPECT_NE(text.find("RLA"), std::string::npos);
+TEST(Harness, TracedCellLineIsTheCellRecord) {
+  const auto dir =
+      std::filesystem::path(testing::TempDir()) / "mpass_harness_cell_line";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  obs::set_trace_dir(dir);
+  const SizeDetector det(kBenignSize);
+  Scripted atk;
+  const std::vector<ByteBuf> samples = scripted_samples();
+  ExperimentConfig cfg;
+  cfg.max_queries = 10;
+  cfg.use_cache = false;
+  const CellStats stats = run_cell(atk, det, samples, samples, cfg);
+  obs::set_trace_dir(std::nullopt);
+
+  const auto blob = util::load_file(dir / "cells.jsonl");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(blob.has_value());
+  const std::string text(blob->begin(), blob->end());
+  ASSERT_EQ(text.find('\n'), text.size() - 1) << "one line expected";
+  const std::string line = text.substr(0, text.size() - 1);
+
+  // The BENCH cell's keys in the BENCH order, between "ev" and "traced".
+  // Nothing else -- in particular no AE bytes.
+  const std::vector<std::string> keys = {
+      "ev",  "attack", "target", "n",         "asr",           "avq",
+      "apr", "functional", "successes", "total_queries", "wall_ms", "qps",
+      "traced"};
+  std::size_t pos = 0;
+  for (const std::string& k : keys) {
+    pos = line.find('"' + k + "\":", pos);
+    ASSERT_NE(pos, std::string::npos) << k << " missing or out of order";
+  }
+  const std::optional<obs::Json> doc = obs::Json::parse(line);
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->fields().size(), keys.size());
+  EXPECT_LT(line.size(), 512u);
+
+  // Numbers as the line writes them (6 significant digits).
+  const auto written = [](double v) {
+    std::string s;
+    obs::json_number(s, v);
+    return std::strtod(s.c_str(), nullptr);
+  };
+  const auto num = [&](const char* k) { return doc->get(k)->number(); };
+  EXPECT_EQ(doc->get("ev")->str(), "cell");
+  EXPECT_EQ(doc->get("attack")->str(), stats.attack);
+  EXPECT_EQ(doc->get("target")->str(), stats.target);
+  EXPECT_EQ(num("n"), static_cast<double>(stats.n));
+  EXPECT_EQ(num("successes"), static_cast<double>(stats.successes));
+  EXPECT_EQ(num("total_queries"), static_cast<double>(stats.total_queries));
+  EXPECT_EQ(num("asr"), written(stats.asr));
+  EXPECT_EQ(num("avq"), written(stats.avq));
+  EXPECT_EQ(num("apr"), written(stats.apr));
+  EXPECT_EQ(num("functional"), written(stats.functional));
+  EXPECT_EQ(num("wall_ms"), written(stats.wall_ms));
+  EXPECT_EQ(num("qps"), written(stats.qps));
+  EXPECT_EQ(num("traced"), 6.0);  // no cache: every sample ran
+  EXPECT_GT(stats.apr, 0.0);
+  EXPECT_GT(stats.wall_ms, 0.0);
 }
 
 TEST(Harness, ConfigDigestSensitivity) {

@@ -2,6 +2,7 @@
 // byte-conv net, GBDT fitting behavior, GRU language-model learning, Adam.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "ml/byteconv.hpp"
@@ -276,6 +277,31 @@ TEST(Gbdt, SaveLoadRoundTrip) {
   other.load(un);
   for (int i = 0; i < 10; ++i)
     EXPECT_FLOAT_EQ(other.predict(xs[i]), model.predict(xs[i]));
+}
+
+TEST(Gbdt, CorruptCountsAreParseErrors) {
+  util::Rng rng(31);
+  std::vector<std::vector<float>> xs;
+  std::vector<int> ys;
+  for (int i = 0; i < 50; ++i) {
+    xs.push_back({static_cast<float>(rng.uniform())});
+    ys.push_back(xs.back()[0] > 0.5f);
+  }
+  Gbdt model{GbdtConfig{}};
+  model.fit(xs, ys, 2);
+  util::Archive ar;
+  model.save(ar);
+  const ByteBuf blob = ar.take();
+  // The archive is an 8-byte tag, the f32 base score, the tree count at
+  // byte 12 and the first tree's node count at byte 16. A count the rest
+  // of the archive cannot hold must not size an allocation.
+  for (const std::size_t at : {12u, 16u}) {
+    ByteBuf bad = blob;
+    std::fill_n(bad.begin() + static_cast<std::ptrdiff_t>(at), 4, 0xFF);
+    util::Unarchive un(bad);
+    Gbdt other{GbdtConfig{}};
+    EXPECT_THROW(other.load(un), util::ParseError) << "count at byte " << at;
+  }
 }
 
 TEST(Gbdt, FeatureImportanceConcentratesOnUsedFeature) {

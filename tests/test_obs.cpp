@@ -85,6 +85,37 @@ void emit_sample(std::string_view attack, std::string_view target,
       .boolean("functional", true);
 }
 
+/// One cells.jsonl line as run_cell writes it: the cell record of
+/// harness::CellStats::write_json between "ev" and "traced".
+struct CellLine {
+  const char* attack;
+  const char* target;
+  std::uint64_t n, successes, total_queries;
+  double avq, apr, functional;
+  std::uint64_t traced;
+};
+
+void append_cell(const CellLine& c) {
+  append_run_line(
+      "cells.jsonl",
+      JsonLine()
+          .str("ev", "cell")
+          .str("attack", c.attack)
+          .str("target", c.target)
+          .uint("n", c.n)
+          .num("asr", 100.0 * static_cast<double>(c.successes) /
+                          static_cast<double>(c.n))
+          .num("avq", c.avq)
+          .num("apr", c.apr)
+          .num("functional", c.functional)
+          .uint("successes", c.successes)
+          .uint("total_queries", c.total_queries)
+          .num("wall_ms", 6.0)
+          .num("qps", 2000.0)
+          .uint("traced", c.traced)
+          .take());
+}
+
 TEST(Trace, WriterReaderRoundTrip) {
   TraceDirGuard guard("mpass_trace_roundtrip");
   emit_sample("MPass", "MalConv", 0x1234, 5);
@@ -121,17 +152,8 @@ TEST(Trace, CheckDirReconcilesQueryBudgets) {
   TraceDirGuard guard("mpass_trace_checkdir");
   emit_sample("MPass", "MalConv", 0x1, 5);
   emit_sample("MPass", "MalConv", 0x2, 7);
-  append_run_line("cells.jsonl", JsonLine()
-                                     .str("ev", "cell")
-                                     .str("attack", "MPass")
-                                     .str("target", "MalConv")
-                                     .uint("n", 2)
-                                     .uint("traced", 2)
-                                     .uint("total_queries", 12)
-                                     .uint("successes", 2)
-                                     .num("avq", 6.0)
-                                     .num("wall_ms", 6.0)
-                                     .take());
+  // Both samples turn benign at their last query, with end.apr 12.5.
+  append_cell({"MPass", "MalConv", 2, 2, 12, 6.0, 1250.0, 100.0, 2});
   write_span_snapshot();
 
   const TraceCheckReport ok = check_trace_dir(guard.dir);
@@ -139,6 +161,9 @@ TEST(Trace, CheckDirReconcilesQueryBudgets) {
   EXPECT_EQ(ok.data.samples.size(), 2u);
   ASSERT_EQ(ok.data.cells.size(), 1u);
   EXPECT_EQ(ok.data.cells[0].total_queries, 12u);
+  EXPECT_DOUBLE_EQ(ok.data.cells[0].asr, 100.0);
+  EXPECT_DOUBLE_EQ(ok.data.cells[0].qps, 2000.0);
+  EXPECT_EQ(ok.data.cells[0].traced, 2u);
   EXPECT_TRUE(ok.data.has_spans);
 
   // spans.json is versioned.
@@ -161,17 +186,7 @@ TEST(Trace, CheckDirReconcilesQueryBudgets) {
   EXPECT_TRUE(check_trace_dir(guard.dir).ok());
 
   // A fully-traced cell whose query totals disagree must fail the check.
-  append_run_line("cells.jsonl", JsonLine()
-                                     .str("ev", "cell")
-                                     .str("attack", "MPass")
-                                     .str("target", "MalConv")
-                                     .uint("n", 2)
-                                     .uint("traced", 2)
-                                     .uint("total_queries", 99)
-                                     .uint("successes", 2)
-                                     .num("avq", 6.0)
-                                     .num("wall_ms", 6.0)
-                                     .take());
+  append_cell({"MPass", "MalConv", 2, 2, 99, 6.0, 1250.0, 100.0, 2});
   const TraceCheckReport bad = check_trace_dir(guard.dir);
   EXPECT_FALSE(bad.ok());
 }
@@ -219,17 +234,7 @@ TEST(Trace, CheckDirReconcilesAvq) {
   emit(0x2, 5, 5);
   emit(0x3, 4, 0);
   const auto cell = [](double avq) {
-    append_run_line("cells.jsonl", JsonLine()
-                                       .str("ev", "cell")
-                                       .str("attack", "MAB")
-                                       .str("target", "MalConv")
-                                       .uint("n", 3)
-                                       .uint("traced", 3)
-                                       .uint("total_queries", 14)
-                                       .uint("successes", 2)
-                                       .num("avq", avq)
-                                       .num("wall_ms", 3.0)
-                                       .take());
+    append_cell({"MAB", "MalConv", 3, 2, 14, avq, 0.0, 100.0, 3});
   };
   cell(4.0);  // (3 + 5) / 2
   const TraceCheckReport ok = check_trace_dir(guard.dir);
@@ -245,22 +250,58 @@ TEST(Trace, CheckDirReconcilesAvq) {
   EXPECT_FALSE(check_trace_dir(guard.dir).ok());
 }
 
+TEST(Trace, CheckDirReconcilesAprAndFunctional) {
+  TraceDirGuard guard("mpass_trace_checkapr");
+  // Three wins, benign at query 2: APR +50%, -25% (a shrinking AE) and
+  // +10%, the last one broken in the sandbox; one loss that spent 3
+  // queries and whose end.apr and end.functional must not count.
+  const auto emit = [](std::uint64_t digest, bool success, double apr,
+                       bool functional) {
+    TraceScope scope("GAMMA", "AV2", digest, 7, 100);
+    const std::uint64_t queries = success ? 2 : 3;
+    for (std::uint64_t i = 1; i <= queries; ++i)
+      Event("query")
+          .uint("i", i)
+          .boolean("malicious", !success || i < 2)
+          .num("score", 0.5);
+    Event("end")
+        .boolean("success", success)
+        .uint("queries", queries)
+        .num("apr", apr)
+        .num("ms", 1.0)
+        .boolean("functional", functional);
+  };
+  emit(0x1, true, 0.5, true);
+  emit(0x2, true, -0.25, true);
+  emit(0x3, true, 0.1, false);
+  emit(0x4, false, 0.9, true);
+  const auto cell = [](double apr, double functional) {
+    append_cell({"GAMMA", "AV2", 4, 3, 9, 2.0, apr, functional, 4});
+  };
+  const double apr = 100.0 * (0.5 - 0.25 + 0.1) / 3.0;
+  const double functional = 100.0 * 2.0 / 3.0;
+  cell(apr, functional);
+  const TraceCheckReport ok = check_trace_dir(guard.dir);
+  EXPECT_TRUE(ok.ok()) << ok.errors.front();
+
+  // An APR over every sample (the loss included), or over the functional
+  // AEs only, must fail; so must a functional rate over all n samples.
+  cell(100.0 * (0.5 - 0.25 + 0.1 + 0.9) / 4.0, functional);
+  EXPECT_FALSE(check_trace_dir(guard.dir).ok());
+  cell(100.0 * (0.5 - 0.25) / 2.0, functional);
+  EXPECT_FALSE(check_trace_dir(guard.dir).ok());
+  cell(apr, 100.0 * 3.0 / 4.0);
+  EXPECT_FALSE(check_trace_dir(guard.dir).ok());
+  cell(apr, functional);
+  EXPECT_TRUE(check_trace_dir(guard.dir).ok());
+}
+
 TEST(Trace, CacheHitCellsWarnInsteadOfFailing) {
   TraceDirGuard guard("mpass_trace_cachehit");
   emit_sample("MPass", "AV1", 0x9, 4);
   // traced < n: one sample came from the result cache, totals can't be
   // reconciled against trace files -- warning, not error.
-  append_run_line("cells.jsonl", JsonLine()
-                                     .str("ev", "cell")
-                                     .str("attack", "MPass")
-                                     .str("target", "AV1")
-                                     .uint("n", 2)
-                                     .uint("traced", 1)
-                                     .uint("total_queries", 104)
-                                     .uint("successes", 1)
-                                     .num("avq", 4.0)
-                                     .num("wall_ms", 2.0)
-                                     .take());
+  append_cell({"MPass", "AV1", 2, 1, 104, 4.0, 1250.0, 100.0, 1});
   const TraceCheckReport rep = check_trace_dir(guard.dir);
   EXPECT_TRUE(rep.ok());
   EXPECT_FALSE(rep.warnings.empty());

@@ -2,6 +2,7 @@
 // numeric environment knobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <optional>
@@ -13,6 +14,7 @@
 #include "util/env.hpp"
 #include "util/hashing.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/threadpool.hpp"
@@ -159,6 +161,37 @@ TEST(Bytes, ToHex) {
 }
 
 // ---- entropy ----------------------------------------------------------------
+
+/// Archives `xs` with `put`, checks that `get` reads them back, then sets
+/// the entry count to 2^32-1 and expects a ParseError, not an allocation.
+template <typename T, typename Put, typename Get>
+void expect_corrupt_count_rejected(const std::vector<T>& xs, Put put,
+                                   Get get) {
+  Archive ar;
+  put(ar, xs);
+  ByteBuf blob = ar.take();
+  {
+    Unarchive un(blob);
+    EXPECT_EQ(get(un), xs);
+  }
+  std::fill_n(blob.begin(), 4, 0xFF);
+  Unarchive un(blob);
+  EXPECT_THROW(get(un), ParseError);
+}
+
+TEST(Archive, CorruptFloatCountIsAParseError) {
+  expect_corrupt_count_rejected(
+      std::vector<float>{1.5f, -2.0f},
+      [](Archive& ar, const std::vector<float>& v) { ar.floats(v); },
+      [](Unarchive& un) { return un.floats(); });
+}
+
+TEST(Archive, CorruptDoubleCountIsAParseError) {
+  expect_corrupt_count_rejected(
+      std::vector<double>{0.25, 3.0},
+      [](Archive& ar, const std::vector<double>& v) { ar.doubles(v); },
+      [](Unarchive& un) { return un.doubles(); });
+}
 
 TEST(Entropy, UniformBytesNearEight) {
   ByteBuf data(256 * 64);

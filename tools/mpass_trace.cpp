@@ -2,7 +2,8 @@
 // is a span document: read it with mpass_prof (top / tree / diff).
 //
 //   mpass_trace check <dir>      validate every JSONL line + reconcile
-//                                query budgets (exit 1 on violations)
+//                                each cell's queries, ASR, AVQ, APR and
+//                                functional rate (exit 1 on violations)
 //   mpass_trace summary <dir>    per-attack query-budget breakdown and
 //                                ensemble-loss curves
 //
